@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="matching invariants of graph6 inputs")
     p.add_argument("graph6", nargs="*", help="graph6 strings (default: stdin lines)")
     p.add_argument("--reg", action="store_true",
-                   help="also compute regularity (n <= 10)")
+                   help="also compute regularity (n <= 12)")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=_cmd_invariants)
 

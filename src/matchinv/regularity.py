@@ -14,7 +14,7 @@ this package (chordal witnesses and their complements) the GF(2) value
 agrees with the characteristic-zero one.
 
 Caps: independence complexes up to 16 ground vertices, regularity up to
-10 vertices (the subset scan is 2^n).
+12 vertices (the subset scan is 2^n).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .graph import Graph, _bits
 
 _COMPLEX_CAP = 16
-_REG_CAP = 10
+_REG_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -170,40 +170,50 @@ class RegularityResult:
                 "witness_d": self.witness_d}
 
 
-# Homology ranks of small complexes repeat massively across the subset
-# scan; cache them keyed by the grouped face masks.
-_rank_cache: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
-_RANK_CACHE_LIMIT = 1 << 20
-
-
-def _ranks_of_faces(ground_n: int, grouped: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    cached = _rank_cache.get(grouped)
-    if cached is None:
-        cached = tuple(reduced_homology_ranks(
-            SimplicialComplexView(ground_n, grouped)))
-        if len(_rank_cache) < _RANK_CACHE_LIMIT:
-            _rank_cache[grouped] = cached
-    return cached
+def _folds(adj: tuple[int, ...], w: int) -> bool:
+    """Whether G[w] has vertices u != v with N(u) & w inside N(v)."""
+    for u in _bits(w):
+        # the v adjacent to every neighbour of u inside w
+        common = w & ~(1 << u)
+        for x in _bits(adj[u] & w):
+            common &= adj[x]
+        if common:
+            return True
+    return False
 
 
 def regularity(G: Graph) -> RegularityResult:
-    """Edge-ideal regularity over GF(2) by full subset scan (n <= 10)."""
+    """Edge-ideal regularity over GF(2) by subset scan (n <= 12).
+
+    A subset W is skipped without building its complex when either
+
+    * alpha(G[W]) <= best: homology in dimension d - 1 needs a face with
+      d vertices.  alpha comes from one DP over the scan,
+      alpha[W] = max(alpha[W - v], 1 + alpha[W - N[v]]) for the lowest v;
+    * G[W] has u != v with N(u) & W inside N(v): by the fold lemma
+      (Engstrom 2008) Ind(G[W]) is homotopy equivalent to Ind(G[W - v]),
+      a smaller mask the scan has already seen.  An isolated u is the
+      case N(u) & W empty.
+
+    Neither skip can pass over the first W, in ascending mask order, that
+    reaches the maximum, so that W is the witness.
+    """
     if G.n > _REG_CAP:
         raise ValueError(f"regularity computation capped at {_REG_CAP} vertices")
-    indep = _independent_sets(G.n, G.adj)
-    best, best_w, best_d = 0, 0, 0
-    for w in range(1 << G.n):
-        faces = [s for s in indep if not s & ~w]
-        top = max(f.bit_count() for f in faces)
-        if top <= best:
-            # homology at dimension d - 1 needs a face with d vertices
+    adj = G.adj
+    indep = _independent_sets(G.n, adj)
+    alpha = bytearray(1 << G.n)
+    best, best_w = 0, 0
+    for w in range(1, 1 << G.n):
+        low = w & -w
+        rest = w ^ low
+        alpha[w] = max(alpha[rest], 1 + alpha[rest & ~adj[low.bit_length() - 1]])
+        if alpha[w] <= best or _folds(adj, w):
             continue
-        grouped: list[list[int]] = [[] for _ in range(top + 1)]
-        for f in faces:
-            grouped[f.bit_count()].append(f)
-        ranks = _ranks_of_faces(G.n, tuple(tuple(sorted(g)) for g in grouped))
+        faces = {s for s in indep if not s & ~w}
+        ranks = reduced_homology_ranks(_group_faces(G.n, faces))
         for d in range(len(ranks) - 1, best, -1):
             if ranks[d]:
-                best, best_w, best_d = d, w, d
+                best, best_w = d, w
                 break
-    return RegularityResult(best, tuple(_bits(best_w)), best_d)
+    return RegularityResult(best, tuple(_bits(best_w)), best)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,17 +45,10 @@ def connected_graph_count(n: int) -> int:
     counts = [0, 1]
     for m in range(2, n + 1):
         total = 1 << (m * (m - 1) // 2)
-        rest = sum(_binom(m - 1, k - 1) * counts[k] * (1 << ((m - k) * (m - k - 1) // 2))
+        rest = sum(math.comb(m - 1, k - 1) * counts[k] * (1 << ((m - k) * (m - k - 1) // 2))
                    for k in range(1, m))
         counts.append(total - rest)
     return counts[n]
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _edge_table(n: int) -> list[tuple[int, int]]:

@@ -285,6 +285,13 @@ def _check_console_script(command, env=None):
     assert proc.stderr.startswith("error:")
 
 
+def _env_with_src():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_installed():
     # Runs the wrapper that installing the package generates for the entry
     # point in pyproject.toml, so the check needs no install.
@@ -293,10 +300,11 @@ def test_console_script_installed():
         entry = tomllib.load(f)["project"]["scripts"]["matchinv"]
     module, _, func = entry.partition(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    _check_console_script([sys.executable, "-c", wrapper], env)
+    _check_console_script([sys.executable, "-c", wrapper], _env_with_src())
+
+
+def test_python_dash_m():
+    _check_console_script([sys.executable, "-m", "matchinv"], _env_with_src())
 
 
 @pytest.mark.skipif(shutil.which("matchinv") is None,

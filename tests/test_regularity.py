@@ -17,10 +17,13 @@ from matchinv import (
     independence_complex,
     invariant_triple,
     is_chordal,
+    TupleQuery,
+    feasible_set,
     path_graph,
     reduced_homology_ranks,
     regularity,
     star_graph,
+    synthesize_witness,
 )
 
 
@@ -171,9 +174,53 @@ def test_regularity_witnesses():
 
 
 def test_regularity_cap():
-    regularity(from_edge_list(10, []))
+    regularity(from_edge_list(12, []))
     with pytest.raises(ValueError):
-        regularity(from_edge_list(11, []))
+        regularity(from_edge_list(13, []))
+
+
+def test_regularity_at_11_and_12_vertices():
+    # reg(C_n) is n // 3 + 1 when n = 2 (mod 3) and n // 3 otherwise
+    assert regularity(cycle_graph(11)).reg == 4
+    assert regularity(cycle_graph(12)).reg == 4
+    # regularity adds over disjoint unions
+    K3, K2 = complete_graph(3), path_graph(2)
+    assert regularity(disjoint_union(disjoint_union(K3, K3),
+                                     disjoint_union(K3, K3))).reg == 4
+    six_K2 = K2
+    for _ in range(5):
+        six_K2 = disjoint_union(six_K2, K2)
+    assert regularity(six_K2).reg == 6
+
+
+def test_regularity_of_witnesses_at_11_and_12_vertices():
+    # chordal graphs have reg = ind, and the witness for (p, q, r, n) has ind = p
+    for n in (11, 12):
+        for p, q, r in sorted(feasible_set(n)):
+            G = synthesize_witness(TupleQuery(p, q, r, n)).graph
+            assert is_chordal(G)
+            assert regularity(G).reg == p
+
+
+def _first_reaching_subset(G):
+    """Plain rational scan: the maximum and the first W reaching it."""
+    best, best_w = 0, 0
+    for w in range(1 << G.n):
+        ranks = oracles.q_homology_ranks(oracles.independent_set_masks(G, w))
+        d = max((k for k, r in enumerate(ranks) if r), default=0)
+        if d > best:
+            best, best_w = d, w
+    return best, tuple(v for v in range(G.n) if best_w >> v & 1)
+
+
+def test_regularity_witness_matches_rational_scan():
+    # pins both skip rules of the scan and its witness order
+    graphs = [G for n in range(1, 6) for G in all_graphs(n)]
+    rng = random.Random(27)
+    graphs += [oracles.random_graph(rng, n) for n in (6, 6, 7, 7, 8, 8)]
+    for G in graphs:
+        res = regularity(G)
+        assert (res.reg, res.witness_subset) == _first_reaching_subset(G)
 
 
 def test_regularity_matches_rational_oracle():
