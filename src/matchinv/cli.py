@@ -112,16 +112,18 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports: list[VerificationReport] = []
+    if args.n_max < 2:
+        raise ValueError("--n-max must be at least 2")
     if args.check == "first-main":
-        top = min(args.n_max, 7)
-        for n in range(2, top + 1):
+        if args.n_max > 9:
+            raise ValueError("the first-main check is capped at 9")
+        if args.n_max > 7 and args.sample is None:
+            raise ValueError("n above 7 needs --sample (exhaustive scan "
+                             "is capped at 7 vertices)")
+        for n in range(2, min(args.n_max, 7) + 1):
             reports.append(verify_theorem_first_main(n, jobs=args.jobs))
-        if args.n_max > 7:
-            if args.sample is None:
-                raise ValueError("n above 7 needs --sample (exhaustive scan "
-                                 "is capped at 7 vertices)")
-            for n in range(8, min(args.n_max, 9) + 1):
-                reports.append(verify_first_main_sampled(n, args.sample, args.seed))
+        for n in range(8, args.n_max + 1):
+            reports.append(verify_first_main_sampled(n, args.sample, args.seed))
     elif args.check == "av":
         if args.n_max > 6:
             raise ValueError("the extremal classification check is capped at 6")

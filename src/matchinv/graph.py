@@ -215,17 +215,7 @@ def is_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
 
 def is_connected(G: Graph) -> bool:
     """Connectivity; graphs with fewer than 2 vertices count as connected."""
-    if G.n <= 1:
-        return True
-    reach = 1
-    while True:
-        grown = reach
-        for v in _bits(reach):
-            grown |= G.adj[v]
-        if grown == reach:
-            break
-        reach = grown
-    return reach == G.vertex_mask
+    return len(connected_components(G)) <= 1
 
 
 def connected_components(G: Graph) -> list[int]:
@@ -255,37 +245,20 @@ def complement(G: Graph) -> Graph:
 
 
 def is_chordal(G: Graph) -> bool:
-    """Chordality via maximum cardinality search + elimination-order check."""
-    n = G.n
-    if n <= 2:
-        return True
-    weight = [0] * n
-    numbered = 0
-    order = []  # filled in reverse elimination order
-    for _ in range(n):
-        best, best_w = -1, -1
-        for v in range(n):
-            if not numbered >> v & 1 and weight[v] > best_w:
-                best, best_w = v, weight[v]
-        numbered |= 1 << best
-        order.append(best)
-        for u in _bits(G.adj[best] & ~numbered):
-            weight[u] += 1
-    order.reverse()  # now a candidate perfect elimination order
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    later = [0] * n  # mask of neighbors eliminated after v
-    for i, v in enumerate(order):
-        for u in _bits(G.adj[v]):
-            if pos[u] > i:
-                later[v] |= 1 << u
-    for v in order:
-        rn = later[v]
-        if not rn:
-            continue
-        parent = min(_bits(rn), key=lambda u: pos[u])
-        if rn & ~(1 << parent) & ~later[parent]:
+    """Chordality by simplicial elimination (Fulkerson-Gross).
+
+    Repeatedly delete a vertex whose remaining neighbours form a clique.
+    A simplicial vertex lies on no chordless cycle and every chordal graph
+    has one, so the graph is chordal exactly when this empties it.
+    """
+    rest = G.vertex_mask
+    while rest:
+        for v in _bits(rest):
+            nb = G.adj[v] & rest
+            if all(nb & ~G.adj[u] == 1 << u for u in _bits(nb)):
+                rest ^= 1 << v
+                break
+        else:
             return False
     return True
 

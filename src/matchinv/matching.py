@@ -13,13 +13,16 @@ The branch-and-bound solvers are meant for desk scale (dozens of vertices
 for sparse or clique-plus-pendant shapes, n <= ~16 in the worst case).
 Certificate variants return the lexicographically first optimal matching
 under the fixed (u, v)-sorted edge order, so repeated runs are identical.
+One routine builds all three on top of the solvers above; it makes up to
+(edges x size) solver calls on induced subgraphs, so it is meant for the
+same sizes as the solvers.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import Graph, _bits, induced_subgraph
 
@@ -292,9 +295,9 @@ def _edge_conflicts(G: Graph) -> tuple[list[tuple[int, int]], list[int]]:
     return edges, conflicts
 
 
-def _max_independent_edges(conflicts: list[int], cand: int, base: int = 0) -> int:
+def _max_independent_edges(conflicts: list[int], cand: int) -> int:
     """Max independent set size in the edge conflict structure, from cand."""
-    best = base
+    best = 0
 
     def search(cand: int, size: int) -> None:
         nonlocal best
@@ -311,7 +314,7 @@ def _max_independent_edges(conflicts: list[int], cand: int, base: int = 0) -> in
             if size + 1 + child.bit_count() > best:
                 search(child, size + 1)
 
-    search(cand, base)
+    search(cand, 0)
     return best
 
 
@@ -336,71 +339,58 @@ def invariant_triple(G: Graph) -> InvariantTriple:
 # lexicographically first optimal certificates
 # ---------------------------------------------------------------------------
 
+def _lex_first(G: Graph, value: Callable[[Graph], int],
+               peel: Callable[[int, int], int]) -> Matching:
+    """Lexicographically first optimal matching, one edge at a time.
+
+    ``value`` is the invariant's solver and ``peel(u, v)`` the vertex mask a
+    chosen edge {u, v} takes out of play.  An optimal matching containing
+    the chosen edges and {u, v} is those edges plus an optimal one of the
+    graph left after the peel, so an edge is kept exactly when that graph
+    still reaches the rest of the target.  The residual need not be cut
+    down to later edges: an optimum holding the chosen prefix and an
+    earlier edge would be lexicographically smaller than the answer.
+    """
+    target = value(G)
+    chosen: list[tuple[int, int]] = []
+    rest = G.vertex_mask
+    for u, v in G.edges():
+        if len(chosen) == target:
+            break
+        if _endpoints(u, v) & ~rest:
+            continue
+        left = rest & ~peel(u, v)
+        if value(induced_subgraph(G, _bits(left))) == target - len(chosen) - 1:
+            chosen.append((u, v))
+            rest = left
+    if len(chosen) < target:  # pragma: no cover - the target is always reachable
+        raise RuntimeError("internal error: certificate search failed")
+    return Matching(tuple(chosen))
+
+
+def _endpoints(u: int, v: int) -> int:
+    return (1 << u) | (1 << v)
+
+
 def max_matching(G: Graph) -> Matching:
     """Lexicographically first maximum matching under the sorted edge order."""
-    target = match_number(G)
-    chosen: list[tuple[int, int]] = []
-    covered = 0
-    start = 0
-    edges = G.edges()
-    while len(chosen) < target:
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            pair = (1 << u) | (1 << v)
-            if covered & pair:
-                continue
-            rest = [w for w in range(G.n) if not (covered | pair) >> w & 1]
-            if match_number(induced_subgraph(G, rest)) == target - len(chosen) - 1:
-                chosen.append((u, v))
-                covered |= pair
-                start = idx + 1
-                break
-        else:  # pragma: no cover - target is always reachable
-            raise RuntimeError("internal error: certificate search failed")
-    return Matching(tuple(chosen))
+    return _lex_first(G, match_number, _endpoints)
 
 
 def min_maximal_matching(G: Graph) -> Matching:
-    """Lexicographically first minimum maximal matching."""
-    target = min_match_number(G)
-    chosen: list[tuple[int, int]] = []
-    vmask = G.vertex_mask
-    start = 0
-    edges = G.edges()
-    while len(chosen) < target:
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            pair = (1 << u) | (1 << v)
-            if pair & ~vmask:
-                continue
-            rest = induced_subgraph(G, _bits(vmask & ~pair))
-            if min_match_number(rest) == target - len(chosen) - 1:
-                chosen.append((u, v))
-                vmask &= ~pair
-                start = idx + 1
-                break
-        else:  # pragma: no cover
-            raise RuntimeError("internal error: certificate search failed")
-    return Matching(tuple(chosen))
+    """Lexicographically first minimum maximal matching.
+
+    A maximal matching containing {u, v} is {u, v} plus a maximal matching
+    of G - u - v, so the peel is the two endpoints.
+    """
+    return _lex_first(G, min_match_number, _endpoints)
 
 
 def max_induced_matching(G: Graph) -> Matching:
-    """Lexicographically first maximum induced matching."""
-    edges, conflicts = _edge_conflicts(G)
-    target = _max_independent_edges(conflicts, (1 << len(edges)) - 1) if edges else 0
-    chosen: list[int] = []
-    cand = (1 << len(edges)) - 1
-    start = 0
-    while len(chosen) < target:
-        for idx in range(start, len(edges)):
-            if not cand >> idx & 1:
-                continue
-            child = cand & ~conflicts[idx] & ~((1 << (idx + 1)) - 1)
-            if len(chosen) + 1 + _max_independent_edges(conflicts, child) == target:
-                chosen.append(idx)
-                cand = child
-                start = idx + 1
-                break
-        else:  # pragma: no cover
-            raise RuntimeError("internal error: certificate search failed")
-    return Matching(tuple(edges[i] for i in chosen))
+    """Lexicographically first maximum induced matching.
+
+    The other edges of an induced matching containing {u, v} avoid
+    N[u] and N[v], so the peel is both closed neighbourhoods.
+    """
+    return _lex_first(G, ind_match_number,
+                      lambda u, v: G.adj[u] | G.adj[v] | _endpoints(u, v))

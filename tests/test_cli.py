@@ -232,7 +232,11 @@ def test_verify_second_main(capsys):
 def test_verify_caps(capsys):
     for argv in (["verify", "--check", "av", "--n-max", "8"],
                  ["verify", "--check", "lemmas", "--n-max", "8"],
-                 ["verify", "--check", "second-main", "--n-max", "10"]):
+                 ["verify", "--check", "second-main", "--n-max", "10"],
+                 ["verify", "--check", "first-main", "--n-max", "12",
+                  "--sample", "10"],
+                 *(["verify", "--check", check, "--n-max", n]
+                   for check in ("first-main", "av") for n in ("1", "0", "-3"))):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and err.startswith("error:")
 

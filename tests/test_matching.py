@@ -199,6 +199,10 @@ def test_certificates_are_lex_first():
     graphs = list(all_graphs(4))
     while len(graphs) < 16 + 60:
         graphs.append(oracles.random_graph(rng, rng.randint(5, 6)))
+    # 7 and 8 vertices and Petersen pin the unrestricted residual graphs
+    graphs += [oracles.random_graph(rng, rng.choice((7, 8)), 0.4)
+               for _ in range(40)]
+    graphs.append(petersen_graph())
     for G in graphs:
         if G.edge_count == 0:
             continue
