@@ -21,9 +21,7 @@ from .families import (FAMILY_NAMES, FamilySpec, build_family,
                        predict_invariants, spec_grid)
 from .realizability import (REASONS, TupleQuery, WitnessReport, feasible_set,
                             is_feasible, synthesize_witness, witness_spec)
-from .regularity import (RegularityResult, SimplicialComplexView,
-                         from_maximal_faces, independence_complex,
-                         reduced_homology_ranks, regularity)
+from .regularity import RegularityResult, reduced_homology_ranks, regularity
 from .verifier import (ScanResult, VerificationReport, connected_graph_count,
                        enumerate_connected, realized_set, scan_invariants,
                        verify_av, verify_first_main_sampled, verify_lemma_suite,

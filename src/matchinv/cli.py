@@ -114,6 +114,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports: list[VerificationReport] = []
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    samples = args.check == "lemmas" or (args.check == "first-main" and args.n_max > 7)
+    if args.sample is not None and not samples:
+        raise ValueError("--sample is used only by lemmas and by first-main "
+                         "above 7 vertices")
     if args.check == "first-main":
         if args.n_max > 9:
             raise ValueError("the first-main check is capped at 9")
@@ -197,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=("first-main", "av", "lemmas", "second-main"))
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the labeled scan (at least 1)")
     p.add_argument("--sample", type=int,
-                   help="sample count for non-exhaustive sizes")
+                   help="sample count: lemmas, and first-main above 7 vertices")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true",
                    help="include elapsed seconds in the report")

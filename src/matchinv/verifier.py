@@ -168,7 +168,7 @@ def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult
     total = 1 << (n * (n - 1) // 2)
     ranges = [(n, lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
     if jobs > 1 and len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ranges))) as pool:
             parts = list(pool.map(_scan_range, ranges))
     else:
         parts = [_scan_range(r) for r in ranges]
@@ -252,13 +252,14 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(include_timing), sort_keys=True)
 
 
-def _fail(failures: list[FailureRecord], limit: int, graph6: str | None,
-          expected: str, actual: str) -> None:
-    if len(failures) < limit:
-        failures.append(FailureRecord(graph6, expected, actual))
-
-
 _FAILURE_LIMIT = 100
+
+
+def _fail(failures: list[FailureRecord], G: Graph | None,
+          expected: str, actual: str) -> None:
+    if len(failures) < _FAILURE_LIMIT:
+        g6 = graph6_encode(G) if G is not None else None
+        failures.append(FailureRecord(g6, expected, actual))
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +278,17 @@ def verify_theorem_first_main(n: int, jobs: int = 1) -> VerificationReport:
         sel = ((scan.ind == triple[0]) & (scan.minm == triple[1])
                & (scan.match == triple[2]))
         mask = int(scan.masks[np.argmax(sel)])
-        _fail(failures, _FAILURE_LIMIT,
-              graph6_encode(_graph_from_mask(n, mask, table)),
+        _fail(failures, _graph_from_mask(n, mask, table),
               "triple inside the closed-form feasible set",
               f"connected graph realizes excluded triple {triple}")
     for triple in sorted(expected - realized):
         report = synthesize_witness(TupleQuery(*triple, n))
-        g6 = graph6_encode(report.graph) if report.graph is not None else None
-        _fail(failures, _FAILURE_LIMIT, g6,
+        _fail(failures, report.graph,
               f"some connected graph realizes {triple}",
               "triple missing from exhaustive scan")
     want_count = connected_graph_count(n)
     if scan.count != want_count:
-        _fail(failures, _FAILURE_LIMIT, None,
+        _fail(failures, None,
               f"{want_count} connected labeled graphs",
               f"enumerated {scan.count}")
     return VerificationReport(
@@ -328,13 +327,13 @@ def verify_av(n: int, jobs: int = 1) -> VerificationReport:
                 hit = True
                 break
         if not hit:
-            _fail(failures, _FAILURE_LIMIT, graph6_encode(G),
+            _fail(failures, G,
                   "isomorphic to the complete or balanced bipartite graph",
                   f"extremal graph with min match {half} of another shape")
     names = ["complete", "balanced_bipartite"][:len(targets)]
     for name, ok in zip(names, found):
         if not ok:
-            _fail(failures, _FAILURE_LIMIT, None,
+            _fail(failures, None,
                   f"{name} graph attains min match {half}", "not found in scan")
     return VerificationReport(
         check="av", n_low=n, n_high=n, examined=scan.count, failures=failures,
@@ -392,7 +391,7 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
                 if not (td.ind_match <= t.ind_match
                         and td.min_match <= t.min_match
                         and td.match <= t.match):
-                    _fail(failures, _FAILURE_LIMIT, graph6_encode(G),
+                    _fail(failures, G,
                           f"deleting vertex {v} cannot increase any invariant",
                           f"{tuple(t)} -> {tuple(td)}")
             # twin leaves: two degree-1 vertices with the same neighbor
@@ -408,7 +407,7 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
                     td = triple_of(delete_vertex(G, v))
                     counts["twin_leaf"] += 1
                     if td != t:
-                        _fail(failures, _FAILURE_LIMIT, graph6_encode(G),
+                        _fail(failures, G,
                               f"deleting twin leaf {v} preserves all invariants",
                               f"{tuple(t)} -> {tuple(td)}")
 
@@ -423,7 +422,7 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
         counts["additivity"] += 1
         ta, tb, tu = triple_of(A), triple_of(B), triple_of(U)
         if tuple(tu) != tuple(x + y for x, y in zip(ta, tb)):
-            _fail(failures, _FAILURE_LIMIT, graph6_encode(U),
+            _fail(failures, U,
                   f"component sums {tuple(x + y for x, y in zip(ta, tb))}",
                   f"union measured {tuple(tu)}")
 
@@ -446,7 +445,7 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
         before = _matching.ind_match_number(G)
         after = _matching.ind_match_number(H)
         if before != after:
-            _fail(failures, _FAILURE_LIMIT, graph6_encode(H),
+            _fail(failures, H,
                   f"suspension keeps induced matching number {before}",
                   f"measured {after}")
 
@@ -462,8 +461,7 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
         if bool(bad.any()):
             table = _edge_table(n)
             for idx in np.nonzero(bad)[0][:_FAILURE_LIMIT].tolist():
-                _fail(failures, _FAILURE_LIMIT,
-                      graph6_encode(_graph_from_mask(n, int(scan.masks[idx]), table)),
+                _fail(failures, _graph_from_mask(n, int(scan.masks[idx]), table),
                       "ind <= min <= match <= 2 min and match <= n/2",
                       f"({int(ind_arr[idx])}, {int(min_arr[idx])}, {int(mat_arr[idx])})")
 
@@ -500,15 +498,14 @@ def verify_theorem_second_main(n_max_exhaustive: int = 6, witness_n_max: int = 9
             assert G is not None
             witness_count += 1
             examined += 1
-            g6 = graph6_encode(G)
             if not is_chordal(G):
-                _fail(failures, _FAILURE_LIMIT, g6,
+                _fail(failures, G,
                       f"witness for {triple} on {n} vertices is chordal",
                       "not chordal")
                 continue
             reg = regularity(G).reg
             if reg != triple[0]:
-                _fail(failures, _FAILURE_LIMIT, g6,
+                _fail(failures, G,
                       f"witness regularity {triple[0]}", f"measured {reg}")
 
     exhaustive_count = 0
@@ -525,16 +522,15 @@ def verify_theorem_second_main(n_max_exhaustive: int = 6, witness_n_max: int = 9
             mt = int(scan.match[i])
             examined += 1
             exhaustive_count += 1
-            g6 = graph6_encode(G)
             if not ind <= reg <= mn:
-                _fail(failures, _FAILURE_LIMIT, g6,
+                _fail(failures, G,
                       f"sandwich {ind} <= reg <= {mn}", f"reg = {reg}")
             if (reg, mn, mt) not in expected:
-                _fail(failures, _FAILURE_LIMIT, g6,
+                _fail(failures, G,
                       "(reg, min, match) inside the feasible set",
                       f"({reg}, {mn}, {mt}) excluded")
             if is_chordal(G) and reg != ind:
-                _fail(failures, _FAILURE_LIMIT, g6,
+                _fail(failures, G,
                       f"chordal graph has reg = ind = {ind}", f"reg = {reg}")
 
     return VerificationReport(
@@ -563,7 +559,7 @@ def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationRepo
         connected += 1
         t = _matching.invariant_triple(G)
         if tuple(t) not in expected:
-            _fail(failures, _FAILURE_LIMIT, graph6_encode(G),
+            _fail(failures, G,
                   "triple inside the closed-form feasible set",
                   f"sampled graph realizes {tuple(t)}")
     return VerificationReport(

@@ -236,7 +236,15 @@ def test_verify_caps(capsys):
                  ["verify", "--check", "first-main", "--n-max", "12",
                   "--sample", "10"],
                  *(["verify", "--check", check, "--n-max", n]
-                   for check in ("first-main", "av") for n in ("1", "0", "-3"))):
+                   for check in ("first-main", "av") for n in ("1", "0", "-3")),
+                 *(["verify", "--check", "first-main", "--n-max", "3",
+                    "--jobs", j] for j in ("0", "-3")),
+                 # --sample where nothing samples
+                 ["verify", "--check", "av", "--n-max", "4", "--sample", "10"],
+                 ["verify", "--check", "second-main", "--n-max", "3",
+                  "--sample", "10"],
+                 ["verify", "--check", "first-main", "--n-max", "7",
+                  "--sample", "10"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and err.startswith("error:")
 

@@ -1,4 +1,4 @@
-"""Tests for independence complexes, homology ranks, and regularity."""
+"""Tests for homology ranks of face lists, and regularity."""
 
 import random
 
@@ -7,14 +7,11 @@ import pytest
 import oracles
 from matchinv import (
     RegularityResult,
-    SimplicialComplexView,
     complete_bipartite_graph,
     complete_graph,
     disjoint_union,
     from_edge_list,
-    from_maximal_faces,
     ind_match_number,
-    independence_complex,
     invariant_triple,
     is_chordal,
     TupleQuery,
@@ -40,85 +37,50 @@ def all_graphs(n):
 
 
 # ---------------------------------------------------------------------------
-# complexes
-# ---------------------------------------------------------------------------
-
-def test_complex_construction():
-    C = from_maximal_faces(3, [0b011, 0b101, 0b110])
-    assert C.ground_n == 3
-    assert C.f_vector() == (1, 3, 3)
-    assert C.dim == 1
-    assert C.faces_by_size[1] == (0b001, 0b010, 0b100)
-    assert C.reduced_euler_characteristic() == -1 + 3 - 3
-
-
-def test_complex_validation():
-    SimplicialComplexView(2, ((0,), (0b01, 0b10), (0b11,)))  # the full segment
-    with pytest.raises(ValueError):
-        SimplicialComplexView(2, ((0,), (0b11,)))  # wrong size slot
-    with pytest.raises(ValueError):
-        SimplicialComplexView(2, ((0,), (0b100,)))  # outside ground set
-    with pytest.raises(ValueError):
-        # pair without one of its vertices: not downward closed
-        SimplicialComplexView(2, ((0,), (0b01,), (0b11,)))
-    with pytest.raises(ValueError):
-        SimplicialComplexView(2, ((), (0b01,)))  # empty face missing
-
-
-def test_empty_and_point_complexes():
-    empty = from_maximal_faces(0, [])
-    assert empty.f_vector() == (1,)
-    assert empty.dim == -1
-    assert reduced_homology_ranks(empty) == [1]
-    point = from_maximal_faces(1, [0b1])
-    assert point.f_vector() == (1, 1)
-    assert reduced_homology_ranks(point) == [0, 0]
-
-
-def test_independence_complex_examples():
-    C4 = cycle_graph(4)
-    IC = independence_complex(C4)
-    assert IC.f_vector() == (1, 4, 2)
-    assert IC.faces_by_size[2] == (0b0101, 0b1010)
-    assert independence_complex(complete_graph(3)).f_vector() == (1, 3)
-    assert independence_complex(cycle_graph(5)).f_vector() == (1, 5, 5)
-    assert independence_complex(from_edge_list(2, [])).f_vector() == (1, 2, 1)
-
-
-def test_independence_complex_cap():
-    independence_complex(from_edge_list(16, []))
-    with pytest.raises(ValueError):
-        independence_complex(from_edge_list(17, []))
-
-
-# ---------------------------------------------------------------------------
 # homology
 # ---------------------------------------------------------------------------
 
+def closure(maximal):
+    """All faces of the complex generated by the given masks, ascending."""
+    return sorted({s for f in maximal for s in range(f + 1) if not s & ~f})
+
+
+def test_complex_validation():
+    assert reduced_homology_ranks([0, 0b01, 0b10, 0b11]) == [0, 0, 0]  # segment
+    with pytest.raises(ValueError):
+        # pair without one of its vertices: not downward closed
+        reduced_homology_ranks([0, 0b01, 0b11])
+    with pytest.raises(ValueError):
+        reduced_homology_ranks([0b01])  # empty face missing
+
+
+def test_empty_and_point_complexes():
+    assert reduced_homology_ranks([0]) == [1]
+    assert reduced_homology_ranks([0, 0b1]) == [0, 0]
+
+
 def test_homology_frozen():
     cases = [
-        (from_maximal_faces(2, [0b01, 0b10]), [0, 1]),            # two points
-        (from_maximal_faces(3, [0b011, 0b101, 0b110]), [0, 0, 1]),  # circle
-        (from_maximal_faces(3, [0b111]), [0, 0, 0, 0]),           # solid
-        (from_maximal_faces(4, [0b0111, 0b1011, 0b1101, 0b1110]),
-         [0, 0, 0, 1]),                                           # sphere
-        (independence_complex(cycle_graph(4)), [0, 1, 0]),
-        (independence_complex(cycle_graph(5)), [0, 0, 1]),
-        (independence_complex(disjoint_union(path_graph(2), path_graph(2))),
-         [0, 0, 1]),
+        (closure([0b01, 0b10]), [0, 1]),                            # two points
+        (closure([0b011, 0b101, 0b110]), [0, 0, 1]),                # circle
+        (closure([0b111]), [0, 0, 0, 0]),                           # solid
+        (closure([0b0111, 0b1011, 0b1101, 0b1110]), [0, 0, 0, 1]),  # sphere
+        (oracles.independent_set_masks(cycle_graph(4)), [0, 1, 0]),
+        (oracles.independent_set_masks(cycle_graph(5)), [0, 0, 1]),
+        (oracles.independent_set_masks(
+            disjoint_union(path_graph(2), path_graph(2))), [0, 0, 1]),
     ]
-    for C, expect in cases:
-        assert reduced_homology_ranks(C) == expect
-        assert len(reduced_homology_ranks(C)) == C.dim + 2
+    for faces, expect in cases:
+        assert reduced_homology_ranks(faces) == expect
+        assert len(expect) == max(f.bit_count() for f in faces) + 1
 
 
 def test_homology_matches_rational_oracle():
     # on independence complexes this small, GF(2) and rational ranks agree
     for n in range(1, 6):
         for G in all_graphs(n):
-            C = independence_complex(G)
-            faces = [f for group in C.faces_by_size for f in group]
-            assert reduced_homology_ranks(C) == oracles.q_homology_ranks(faces)
+            faces = oracles.independent_set_masks(G)
+            assert reduced_homology_ranks(faces) == oracles.q_homology_ranks(faces)
 
 
 def test_euler_poincare():
@@ -126,10 +88,10 @@ def test_euler_poincare():
     for _ in range(60):
         n = rng.randint(1, 7)
         G = oracles.random_graph(rng, n)
-        C = independence_complex(G)
-        ranks = reduced_homology_ranks(C)
+        faces = oracles.independent_set_masks(G)
+        ranks = reduced_homology_ranks(faces)
         chi = sum((-1) ** (k - 1) * r for k, r in enumerate(ranks))
-        assert chi == C.reduced_euler_characteristic()
+        assert chi == sum((-1) ** (f.bit_count() - 1) for f in faces)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,21 @@ def test_sampled_mode():
         verify_first_main_sampled(10, 10, seed=0)
 
 
+def test_scan_pool_size_is_capped_by_chunks(monkeypatch):
+    # n = 7 splits into 2^21 / 2^18 = 8 chunks; more workers would be idle
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(matchinv.verifier, "ProcessPoolExecutor", Recorder)
+    with pytest.raises(RuntimeError):
+        scan_invariants(7, jobs=64, use_cache=False)
+    assert asked == [8]
+
+
 @pytest.mark.slow
 def test_scan_worker_count_invariance():
     a = scan_invariants(7, jobs=1, use_cache=False)
