@@ -112,42 +112,37 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports: list[VerificationReport] = []
+    cap = {"first-main": 9, "av": 6, "lemmas": 7, "second-main": 9}[args.check]
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
+    if args.n_max > cap:
+        raise ValueError(f"the {args.check} check is capped at {cap}")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     samples = args.check == "lemmas" or (args.check == "first-main" and args.n_max > 7)
-    if args.sample is not None and not samples:
-        raise ValueError("--sample is used only by lemmas and by first-main "
-                         "above 7 vertices")
+    if (args.sample is not None or args.seed is not None) and not samples:
+        raise ValueError("--sample and --seed are used only by lemmas and by "
+                         "first-main above 7 vertices")
+    if args.sample is not None and args.sample < 1:
+        raise ValueError("--sample must be at least 1")
+    seed = args.seed or 0
     if args.check == "first-main":
-        if args.n_max > 9:
-            raise ValueError("the first-main check is capped at 9")
         if args.n_max > 7 and args.sample is None:
             raise ValueError("n above 7 needs --sample (exhaustive scan "
                              "is capped at 7 vertices)")
         for n in range(2, min(args.n_max, 7) + 1):
             reports.append(verify_theorem_first_main(n, jobs=args.jobs))
         for n in range(8, args.n_max + 1):
-            reports.append(verify_first_main_sampled(n, args.sample, args.seed))
+            reports.append(verify_first_main_sampled(n, args.sample, seed))
     elif args.check == "av":
-        if args.n_max > 6:
-            raise ValueError("the extremal classification check is capped at 6")
         for n in range(2, args.n_max + 1, 2):
             reports.append(verify_av(n, jobs=args.jobs))
     elif args.check == "lemmas":
-        if args.n_max > 7:
-            raise ValueError("the lemma suite is capped at 7")
         reports.append(verify_lemma_suite(
-            n_max_exhaustive=min(args.n_max, 6),
-            samples=args.sample if args.sample is not None else 10000,
-            seed=args.seed, inequality_n_max=args.n_max, jobs=args.jobs))
+            args.n_max, samples=args.sample or 10000,
+            seed=seed, jobs=args.jobs))
     else:  # second-main
-        if args.n_max > 9:
-            raise ValueError("the regularity check is capped at 9")
-        reports.append(verify_theorem_second_main(
-            n_max_exhaustive=min(args.n_max, 6),
-            witness_n_max=args.n_max, jobs=args.jobs))
+        reports.append(verify_theorem_second_main(args.n_max, jobs=args.jobs))
     for report in reports:
         print(report.to_json(include_timing=args.timing))
     if args.failures_out:
@@ -207,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the labeled scan (at least 1)")
     p.add_argument("--sample", type=int,
                    help="sample count: lemmas, and first-main above 7 vertices")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="sampling seed (default 0): lemmas, and first-main "
+                        "above 7 vertices")
     p.add_argument("--timing", action="store_true",
                    help="include elapsed seconds in the report")
     p.add_argument("--failures-out",

@@ -2,12 +2,15 @@
 
 Connected labeled graphs on n <= 7 vertices are enumerated as edge
 bitmasks over the n*(n-1)/2 vertex pairs.  The three matching invariants
-of every graph in the stream are computed by a vectorized pattern scan:
+of every graph are computed by a vectorized pattern scan:
 the matchings of the complete graph K_n are precomputed once, and for
 each matching T three fixed bitmask conditions decide per graph whether
 T is present, maximal, or induced.  This route is independent of the
 per-graph solvers in :mod:`matchinv.matching` and the two are
-cross-checked in the test suite.
+cross-checked in the test suite.  The edge-mask format stays behind
+``ScanResult``: every exhaustive check reads its graphs from the scan
+it holds (``graphs()``, or ``graph(i)`` for a failure record) and its
+realized triples from ``triples()``.
 
 Work is split over contiguous edge-bitmask ranges whose boundaries do
 not depend on the worker count, so reports are byte-identical at any
@@ -22,7 +25,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -155,6 +158,23 @@ class ScanResult:
     def count(self) -> int:
         return int(self.masks.shape[0])
 
+    def graph(self, i: int) -> Graph:
+        """The i-th graph of the scan."""
+        return _graph_from_mask(self.n, int(self.masks[i]), _edge_table(self.n))
+
+    def graphs(self):
+        """Every graph of the scan, ascending by edge bitmask."""
+        table = _edge_table(self.n)
+        for mask in self.masks.tolist():
+            yield _graph_from_mask(self.n, mask, table)
+
+    def triples(self) -> set[tuple[int, int, int]]:
+        """The distinct (ind, min, match) triples of the scan."""
+        key = (self.ind.astype(np.int32) << 16 | self.minm.astype(np.int32) << 8
+               | self.match.astype(np.int32))
+        return {(k >> 16 & 255, k >> 8 & 255, k & 255)
+                for k in np.unique(key).tolist()}
+
 
 _scan_cache: dict[int, ScanResult] = {}
 
@@ -187,23 +207,12 @@ def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult
 def enumerate_connected(n: int):
     """Yield every connected labeled graph on n vertices, ascending by
     edge bitmask."""
-    if not 2 <= n <= _SCAN_CAP:
-        raise ValueError(f"exhaustive enumeration supports 2 <= n <= {_SCAN_CAP}")
-    table = _edge_table(n)
-    total = 1 << (n * (n - 1) // 2)
-    for lo in range(0, total, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        for m in masks[_connected_filter(n, masks)].tolist():
-            yield _graph_from_mask(n, m, table)
+    yield from scan_invariants(n).graphs()
 
 
 def realized_set(n: int, jobs: int = 1) -> set[tuple[int, int, int]]:
     """All (ind, min, match) triples of connected n-vertex graphs."""
-    scan = scan_invariants(n, jobs=jobs)
-    key = (scan.ind.astype(np.int32) << 16 | scan.minm.astype(np.int32) << 8
-           | scan.match.astype(np.int32))
-    return {(int(k) >> 16 & 255, int(k) >> 8 & 255, int(k) & 255)
-            for k in np.unique(key)}
+    return scan_invariants(n, jobs=jobs).triples()
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +226,7 @@ class FailureRecord:
     actual: str
 
     def to_json_dict(self) -> dict:
-        return {"graph6": self.graph6, "expected": self.expected,
-                "actual": self.actual}
+        return asdict(self)
 
 
 @dataclass
@@ -270,15 +278,13 @@ def verify_theorem_first_main(n: int, jobs: int = 1) -> VerificationReport:
     """Exhaustively compare the realized triple set with the closed form."""
     t0 = time.perf_counter()
     scan = scan_invariants(n, jobs=jobs)
-    realized = realized_set(n, jobs=jobs)
+    realized = scan.triples()
     expected = feasible_set(n)
     failures: list[FailureRecord] = []
-    table = _edge_table(n)
     for triple in sorted(realized - expected):
         sel = ((scan.ind == triple[0]) & (scan.minm == triple[1])
                & (scan.match == triple[2]))
-        mask = int(scan.masks[np.argmax(sel)])
-        _fail(failures, _graph_from_mask(n, mask, table),
+        _fail(failures, scan.graph(int(np.argmax(sel))),
               "triple inside the closed-form feasible set",
               f"connected graph realizes excluded triple {triple}")
     for triple in sorted(expected - realized):
@@ -309,36 +315,30 @@ def verify_av(n: int, jobs: int = 1) -> VerificationReport:
         raise ValueError("check runs for even n with 2 <= n <= 6")
     t0 = time.perf_counter()
     scan = scan_invariants(n, jobs=jobs)
-    table = _edge_table(n)
     half = n // 2
-    targets = [complete_graph(n)]
-    if half >= 1 and n >= 4:
-        targets.append(complete_bipartite_graph(half, half))
-    found = [False] * len(targets)
+    targets = {"complete": complete_graph(n)}
+    if n >= 4:
+        targets["balanced_bipartite"] = complete_bipartite_graph(half, half)
+    found = dict.fromkeys(targets, False)
     failures: list[FailureRecord] = []
     extremal = 0
-    for mask in scan.masks[scan.minm == half].tolist():
+    for i in np.nonzero(scan.minm == half)[0].tolist():
         extremal += 1
-        G = _graph_from_mask(n, int(mask), table)
-        hit = False
-        for i, T in enumerate(targets):
-            if are_isomorphic(G, T):
-                found[i] = True
-                hit = True
-                break
-        if not hit:
+        G = scan.graph(i)
+        name = next((k for k, T in targets.items() if are_isomorphic(G, T)), None)
+        if name is None:
             _fail(failures, G,
                   "isomorphic to the complete or balanced bipartite graph",
                   f"extremal graph with min match {half} of another shape")
-    names = ["complete", "balanced_bipartite"][:len(targets)]
-    for name, ok in zip(names, found):
+        else:
+            found[name] = True
+    for name, ok in found.items():
         if not ok:
             _fail(failures, None,
                   f"{name} graph attains min match {half}", "not found in scan")
     return VerificationReport(
         check="av", n_low=n, n_high=n, examined=scan.count, failures=failures,
-        details={"extremal_count": extremal,
-                 "targets_found": dict(zip(names, found))},
+        details={"extremal_count": extremal, "targets_found": found},
         elapsed=time.perf_counter() - t0)
 
 
@@ -348,24 +348,21 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return _graph_from_mask(n, mask, table)
 
 
-def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
-                       seed: int = 0, inequality_n_max: int = 7,
+def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
                        jobs: int = 1) -> VerificationReport:
     """Structural lemma checks against the per-graph solvers.
 
-    Exhaustive over connected graphs up to ``n_max_exhaustive``:
+    Exhaustive over connected graphs up to ``min(n_max, 6)``:
     vertex-deletion monotonicity of all three invariants, and exact
     invariance under deleting one of two leaves hanging off a common
     neighbor.  Seeded-random: additivity over disjoint unions, and
     preservation of the induced matching number by one-vertex
     suspensions over an independent set.  The chain
     ind <= min <= match <= 2 min and match <= n/2 is checked on the
-    vectorized scan up to ``inequality_n_max``.
+    vectorized scan up to ``n_max``.
     """
-    if not 2 <= n_max_exhaustive <= 6:
-        raise ValueError("exhaustive lemma checks support 2 <= n <= 6")
-    if not 2 <= inequality_n_max <= _SCAN_CAP:
-        raise ValueError(f"inequality checks support 2 <= n <= {_SCAN_CAP}")
+    if not 2 <= n_max <= _SCAN_CAP:
+        raise ValueError(f"the lemma suite supports 2 <= n <= {_SCAN_CAP}")
     t0 = time.perf_counter()
     failures: list[FailureRecord] = []
     examined = 0
@@ -381,10 +378,11 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
             triple_memo[key] = got
         return got
 
-    for n in range(2, n_max_exhaustive + 1):
-        for G in enumerate_connected(n):
+    for n in range(2, min(n_max, 6) + 1):
+        for G in scan_invariants(n, jobs=jobs).graphs():
             examined += 1
             t = triple_of(G)
+            leaves = sum(1 << v for v in range(n) if G.degree(v) == 1)
             for v in range(n):
                 td = triple_of(delete_vertex(G, v))
                 counts["deletion"] += 1
@@ -394,17 +392,9 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
                     _fail(failures, G,
                           f"deleting vertex {v} cannot increase any invariant",
                           f"{tuple(t)} -> {tuple(td)}")
-            # twin leaves: two degree-1 vertices with the same neighbor
-            leaves_by_nbr: dict[int, list[int]] = {}
-            for v in range(n):
-                if G.degree(v) == 1:
-                    w = G.adj[v].bit_length() - 1
-                    leaves_by_nbr.setdefault(w, []).append(v)
-            for twins in leaves_by_nbr.values():
-                if len(twins) < 2:
-                    continue
-                for v in twins:
-                    td = triple_of(delete_vertex(G, v))
+                # twin leaf: v is a leaf and its neighbour w has another leaf
+                w = G.adj[v].bit_length() - 1
+                if leaves >> v & 1 and leaves & G.adj[w] != 1 << v:
                     counts["twin_leaf"] += 1
                     if td != t:
                         _fail(failures, G,
@@ -449,7 +439,7 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
                   f"suspension keeps induced matching number {before}",
                   f"measured {after}")
 
-    for n in range(2, inequality_n_max + 1):
+    for n in range(2, n_max + 1):
         scan = scan_invariants(n, jobs=jobs)
         examined += scan.count
         counts["chain"] += scan.count
@@ -458,40 +448,35 @@ def verify_lemma_suite(n_max_exhaustive: int = 6, samples: int = 10000,
         mat_arr = scan.match.astype(np.int16)
         bad = ((ind_arr > min_arr) | (min_arr > mat_arr)
                | (mat_arr > 2 * min_arr) | (mat_arr > n // 2))
-        if bool(bad.any()):
-            table = _edge_table(n)
-            for idx in np.nonzero(bad)[0][:_FAILURE_LIMIT].tolist():
-                _fail(failures, _graph_from_mask(n, int(scan.masks[idx]), table),
-                      "ind <= min <= match <= 2 min and match <= n/2",
-                      f"({int(ind_arr[idx])}, {int(min_arr[idx])}, {int(mat_arr[idx])})")
+        for idx in np.nonzero(bad)[0][:_FAILURE_LIMIT].tolist():
+            _fail(failures, scan.graph(idx),
+                  "ind <= min <= match <= 2 min and match <= n/2",
+                  f"({int(ind_arr[idx])}, {int(min_arr[idx])}, {int(mat_arr[idx])})")
 
     return VerificationReport(
-        check="lemmas", n_low=2, n_high=max(n_max_exhaustive, inequality_n_max),
+        check="lemmas", n_low=2, n_high=n_max,
         examined=examined, failures=failures,
         details={"checks": counts, "samples": samples, "seed": seed},
         elapsed=time.perf_counter() - t0)
 
 
-def verify_theorem_second_main(n_max_exhaustive: int = 6, witness_n_max: int = 9,
-                               jobs: int = 1) -> VerificationReport:
+def verify_theorem_second_main(n_max: int = 9, jobs: int = 1) -> VerificationReport:
     """Regularity version of the realizability theorem.
 
-    Witness part: every feasible (p, q, r, n) up to ``witness_n_max``
-    has a chordal witness whose regularity equals p.  Exhaustive part:
-    for every connected graph up to ``n_max_exhaustive``, the triple
+    Witness part: every feasible (p, q, r, n) up to ``n_max`` has a
+    chordal witness whose regularity equals p.  Exhaustive part: for
+    every connected graph up to ``min(n_max, 6)``, the triple
     (reg, min, match) lies in the feasible set, the sandwich
     ind <= reg <= min holds, and chordal graphs have reg = ind.
     """
-    if not 2 <= n_max_exhaustive <= 6:
-        raise ValueError("exhaustive regularity checks support 2 <= n <= 6")
-    if not 2 <= witness_n_max <= 9:
-        raise ValueError("witness regularity checks support 2 <= n <= 9")
+    if not 2 <= n_max <= 9:
+        raise ValueError("the regularity check supports 2 <= n <= 9")
     t0 = time.perf_counter()
     failures: list[FailureRecord] = []
     examined = 0
     witness_count = 0
 
-    for n in range(2, witness_n_max + 1):
+    for n in range(2, n_max + 1):
         for triple in sorted(feasible_set(n)):
             report = synthesize_witness(TupleQuery(*triple, n))
             G = report.graph
@@ -509,17 +494,12 @@ def verify_theorem_second_main(n_max_exhaustive: int = 6, witness_n_max: int = 9
                       f"witness regularity {triple[0]}", f"measured {reg}")
 
     exhaustive_count = 0
-    for n in range(2, n_max_exhaustive + 1):
+    for n in range(2, min(n_max, 6) + 1):
         scan = scan_invariants(n, jobs=jobs)
-        table = _edge_table(n)
         expected = feasible_set(n)
-        for i in range(scan.count):
-            mask = int(scan.masks[i])
-            G = _graph_from_mask(n, mask, table)
+        for G, ind, mn, mt in zip(scan.graphs(), scan.ind.tolist(),
+                                  scan.minm.tolist(), scan.match.tolist()):
             reg = regularity(G).reg
-            ind = int(scan.ind[i])
-            mn = int(scan.minm[i])
-            mt = int(scan.match[i])
             examined += 1
             exhaustive_count += 1
             if not ind <= reg <= mn:
@@ -534,8 +514,7 @@ def verify_theorem_second_main(n_max_exhaustive: int = 6, witness_n_max: int = 9
                       f"chordal graph has reg = ind = {ind}", f"reg = {reg}")
 
     return VerificationReport(
-        check="second-main", n_low=2,
-        n_high=max(n_max_exhaustive, witness_n_max),
+        check="second-main", n_low=2, n_high=n_max,
         examined=examined, failures=failures,
         details={"witnesses": witness_count,
                  "exhaustive_graphs": exhaustive_count},
@@ -547,6 +526,8 @@ def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationRepo
     graphs realize only feasible triples."""
     if not 8 <= n <= 9:
         raise ValueError("sampled mode is for n in {8, 9}")
+    if count < 1:
+        raise ValueError("sampled mode needs a sample count of at least 1")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     expected = feasible_set(n)

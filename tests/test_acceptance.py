@@ -97,8 +97,7 @@ def test_criterion_4_extremal_classification(capsys):
 
 
 def test_criterion_5_lemma_suite(capsys):
-    rep = verify_lemma_suite(n_max_exhaustive=6, samples=10000, seed=0,
-                             inequality_n_max=7)
+    rep = verify_lemma_suite(7, samples=10000, seed=0)
     counts = rep.details["checks"]
     ok = rep.passed
     ok &= counts["deletion"] == sum(n * connected_graph_count(n)
@@ -117,7 +116,7 @@ def test_criterion_6_regularity(capsys):
         ok &= regularity(complete_graph(n)).reg == 1
     for m in range(1, 5):
         ok &= regularity(complete_bipartite_graph(m, m)).reg == 1
-    rep = verify_theorem_second_main(n_max_exhaustive=6, witness_n_max=9)
+    rep = verify_theorem_second_main(9)
     ok &= rep.passed
     ok &= rep.details["witnesses"] == sum(len(feasible_set(n))
                                           for n in range(2, 10)) == 58
@@ -139,11 +138,11 @@ def test_criterion_7_determinism(capsys):
     matchinv.verifier._scan_cache.clear()
     second = verify_theorem_first_main(6, jobs=2).to_json()
     ok &= first == second
-    ok &= verify_lemma_suite(4, samples=500, seed=0, inequality_n_max=5).to_json() \
-        == verify_lemma_suite(4, samples=500, seed=0, inequality_n_max=5).to_json()
+    ok &= verify_lemma_suite(5, samples=500, seed=0).to_json() \
+        == verify_lemma_suite(5, samples=500, seed=0).to_json()
     ok &= verify_av(4).to_json() == verify_av(4).to_json()
-    ok &= verify_theorem_second_main(3, 4).to_json() \
-        == verify_theorem_second_main(3, 4).to_json()
+    ok &= verify_theorem_second_main(4).to_json() \
+        == verify_theorem_second_main(4).to_json()
     ok &= synthesize_witness(TupleQuery(2, 3, 4, 8)).to_json() \
         == synthesize_witness(TupleQuery(2, 3, 4, 8)).to_json()
     assert _report(capsys, 7, "byte-identical reports across runs and worker counts",

@@ -244,7 +244,20 @@ def test_verify_caps(capsys):
                  ["verify", "--check", "second-main", "--n-max", "3",
                   "--sample", "10"],
                  ["verify", "--check", "first-main", "--n-max", "7",
-                  "--sample", "10"]):
+                  "--sample", "10"],
+                 # --sample below 1
+                 ["verify", "--check", "first-main", "--n-max", "8",
+                  "--sample", "0"],
+                 ["verify", "--check", "first-main", "--n-max", "8",
+                  "--sample", "-4"],
+                 ["verify", "--check", "lemmas", "--n-max", "2",
+                  "--sample", "-5"],
+                 # --seed where nothing samples
+                 ["verify", "--check", "av", "--n-max", "4", "--seed", "7"],
+                 ["verify", "--check", "second-main", "--n-max", "3",
+                  "--seed", "7"],
+                 ["verify", "--check", "first-main", "--n-max", "7",
+                  "--seed", "7"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and err.startswith("error:")
 

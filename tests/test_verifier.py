@@ -26,8 +26,6 @@ from matchinv import (
 from matchinv.verifier import (
     VerificationReport,
     FailureRecord,
-    _edge_table,
-    _graph_from_mask,
     _matching_patterns,
 )
 
@@ -100,10 +98,9 @@ def test_scan_agrees_with_solvers_sampled():
     rng = random.Random(31)
     for n in (6, 7):
         scan = scan_invariants(n)
-        table = _edge_table(n)
         for _ in range(250):
             i = rng.randrange(scan.count)
-            G = _graph_from_mask(n, int(scan.masks[i]), table)
+            G = scan.graph(i)
             t = invariant_triple(G)
             assert (int(scan.ind[i]), int(scan.minm[i]), int(scan.match[i])) \
                 == tuple(t)
@@ -167,20 +164,19 @@ def test_av_check():
 
 
 def test_lemma_suite_small():
-    rep = verify_lemma_suite(n_max_exhaustive=4, samples=300, seed=1,
-                             inequality_n_max=5)
+    rep = verify_lemma_suite(4, samples=300, seed=1)
     assert rep.passed
     counts = rep.details["checks"]
     assert counts["deletion"] == 2 * 1 + 3 * 4 + 4 * 38
-    assert counts["chain"] == 1 + 4 + 38 + 728
+    assert counts["chain"] == 1 + 4 + 38
     assert counts["additivity"] == 300
     assert counts["suspension"] == 300
     assert counts["twin_leaf"] == 18
     assert rep.details["seed"] == 1
     with pytest.raises(ValueError):
-        verify_lemma_suite(n_max_exhaustive=7)
+        verify_lemma_suite(1)
     with pytest.raises(ValueError):
-        verify_lemma_suite(inequality_n_max=8)
+        verify_lemma_suite(8)
 
 
 def test_lemma_suite_catches_broken_solver(monkeypatch):
@@ -191,8 +187,7 @@ def test_lemma_suite_catches_broken_solver(monkeypatch):
         return InvariantTriple(t.ind_match, t.min_match - 1, t.match)
 
     monkeypatch.setattr(matchinv.matching, "invariant_triple", skewed)
-    rep = verify_lemma_suite(n_max_exhaustive=2, samples=40, seed=3,
-                             inequality_n_max=2)
+    rep = verify_lemma_suite(2, samples=40, seed=3)
     assert not rep.passed
     assert rep.failures
     rec = rep.failures[0]
@@ -202,14 +197,14 @@ def test_lemma_suite_catches_broken_solver(monkeypatch):
 
 
 def test_second_main_small():
-    rep = verify_theorem_second_main(n_max_exhaustive=3, witness_n_max=4)
+    rep = verify_theorem_second_main(4)
     assert rep.passed
     assert rep.details["witnesses"] == 1 + 1 + 3
-    assert rep.details["exhaustive_graphs"] == 1 + 4
+    assert rep.details["exhaustive_graphs"] == 1 + 4 + 38
     with pytest.raises(ValueError):
-        verify_theorem_second_main(n_max_exhaustive=7)
+        verify_theorem_second_main(1)
     with pytest.raises(ValueError):
-        verify_theorem_second_main(witness_n_max=10)
+        verify_theorem_second_main(10)
 
 
 def test_sampled_mode():
@@ -223,6 +218,8 @@ def test_sampled_mode():
         verify_first_main_sampled(7, 10, seed=0)
     with pytest.raises(ValueError):
         verify_first_main_sampled(10, 10, seed=0)
+    with pytest.raises(ValueError):
+        verify_first_main_sampled(8, 0, seed=0)
 
 
 def test_scan_pool_size_is_capped_by_chunks(monkeypatch):
@@ -239,12 +236,3 @@ def test_scan_pool_size_is_capped_by_chunks(monkeypatch):
         scan_invariants(7, jobs=64, use_cache=False)
     assert asked == [8]
 
-
-@pytest.mark.slow
-def test_scan_worker_count_invariance():
-    a = scan_invariants(7, jobs=1, use_cache=False)
-    b = scan_invariants(7, jobs=2, use_cache=False)
-    assert np.array_equal(a.masks, b.masks)
-    assert np.array_equal(a.ind, b.ind)
-    assert np.array_equal(a.minm, b.minm)
-    assert np.array_equal(a.match, b.match)
