@@ -18,11 +18,12 @@ small tables instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Iterable
 
-from .families import FamilySpec, build_family, parse_family_spec, predict_invariants
+from .families import build_family, parse_family_spec, predict_invariants
 from .graph import Graph, graph6_decode, graph6_encode, is_connected, to_dot
 from .matching import invariant_triple
 from .realizability import TupleQuery, feasible_set, synthesize_witness
@@ -56,10 +57,8 @@ def _input_graphs(args: argparse.Namespace) -> Iterable[Graph]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.params is not None:
-        spec = FamilySpec(args.family, *[int(x) for x in args.params.split(",")])
-    else:
-        spec = parse_family_spec(args.family)
+    spec = parse_family_spec(args.family if args.params is None
+                             else f"{args.family}({args.params})")
     G = build_family(spec)
     size, predicted = predict_invariants(spec)
     _graph_output(G, args.format, {
@@ -125,32 +124,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          "first-main above 7 vertices")
     if args.sample is not None and args.sample < 1:
         raise ValueError("--sample must be at least 1")
+    if args.check == "first-main" and args.n_max > 7 and args.sample is None:
+        raise ValueError("n above 7 needs --sample (exhaustive scan "
+                         "is capped at 7 vertices)")
     seed = args.seed or 0
-    if args.check == "first-main":
-        if args.n_max > 7 and args.sample is None:
-            raise ValueError("n above 7 needs --sample (exhaustive scan "
-                             "is capped at 7 vertices)")
-        for n in range(2, min(args.n_max, 7) + 1):
-            reports.append(verify_theorem_first_main(n, jobs=args.jobs))
-        for n in range(8, args.n_max + 1):
-            reports.append(verify_first_main_sampled(n, args.sample, seed))
-    elif args.check == "av":
-        for n in range(2, args.n_max + 1, 2):
-            reports.append(verify_av(n, jobs=args.jobs))
-    elif args.check == "lemmas":
-        reports.append(verify_lemma_suite(
-            args.n_max, samples=args.sample or 10000,
-            seed=seed, jobs=args.jobs))
-    else:  # second-main
-        reports.append(verify_theorem_second_main(args.n_max, jobs=args.jobs))
-    for report in reports:
-        print(report.to_json(include_timing=args.timing))
-    if args.failures_out:
-        with open(args.failures_out, "w") as fh:
-            for report in reports:
-                for rec in report.failures:
-                    if rec.graph6:
-                        fh.write(rec.graph6 + "\n")
+    # opened before any check runs, so a bad path fails at once
+    with (open(args.failures_out, "w") if args.failures_out
+          else contextlib.nullcontext()) as fh:
+        if args.check == "first-main":
+            for n in range(2, min(args.n_max, 7) + 1):
+                reports.append(verify_theorem_first_main(n, jobs=args.jobs))
+            for n in range(8, args.n_max + 1):
+                reports.append(verify_first_main_sampled(n, args.sample, seed))
+        elif args.check == "av":
+            for n in range(2, args.n_max + 1, 2):
+                reports.append(verify_av(n, jobs=args.jobs))
+        elif args.check == "lemmas":
+            reports.append(verify_lemma_suite(
+                args.n_max, samples=args.sample or 10000,
+                seed=seed, jobs=args.jobs))
+        else:  # second-main
+            reports.append(verify_theorem_second_main(args.n_max, jobs=args.jobs))
+        for report in reports:
+            print(report.to_json(include_timing=args.timing))
+            for rec in report.failures:
+                if fh and rec.graph6:
+                    fh.write(rec.graph6 + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -223,6 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

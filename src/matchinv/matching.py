@@ -282,16 +282,17 @@ def _edge_conflicts(G: Graph) -> tuple[list[tuple[int, int]], list[int]]:
     includes the edge itself.
     """
     edges = G.edges()
-    m = len(edges)
-    conflicts = [1 << i for i in range(m)]
-    for i in range(m):
-        a, b = edges[i]
-        reach = G.adj[a] | G.adj[b] | (1 << a) | (1 << b)
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if reach >> c & 1 or reach >> d & 1:
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
+    incident = [0] * G.n
+    for i, (a, b) in enumerate(edges):
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    conflicts = []
+    for a, b in edges:
+        # N(a) | N(b) holds a and b: the edges meeting it are the conflicts
+        mask = 0
+        for x in _bits(G.adj[a] | G.adj[b]):
+            mask |= incident[x]
+        conflicts.append(mask)
     return edges, conflicts
 
 

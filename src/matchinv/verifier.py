@@ -9,8 +9,11 @@ T is present, maximal, or induced.  This route is independent of the
 per-graph solvers in :mod:`matchinv.matching` and the two are
 cross-checked in the test suite.  The edge-mask format stays behind
 ``ScanResult``: every exhaustive check reads its graphs from the scan
-it holds (``graphs()``, or ``graph(i)`` for a failure record) and its
-realized triples from ``triples()``.
+it holds (``graph(i)``) and its realized triples from ``triples()``.
+The lemma and regularity checks test isomorphism-invariant statements,
+so they take one graph per isomorphism class from ``classes()`` (n <= 6)
+and count it ``size`` times; the classes come from the scan's own masks,
+not from a second enumeration.
 
 Work is split over contiguous edge-bitmask ranges whose boundaries do
 not depend on the worker count, so reports are byte-identical at any
@@ -162,11 +165,25 @@ class ScanResult:
         """The i-th graph of the scan."""
         return _graph_from_mask(self.n, int(self.masks[i]), _edge_table(self.n))
 
-    def graphs(self):
-        """Every graph of the scan, ascending by edge bitmask."""
+    def classes(self) -> list[tuple[int, Graph, int]]:
+        """One ``(index, graph, size)`` per isomorphism class, ascending.
+
+        ``index`` points at the class's least edge mask over all n!
+        relabelings (relabeling keeps a graph connected, so that mask is
+        in the scan) and ``size`` counts the labeled graphs of the class.
+        """
+        if self.n > 6:  # n! relabelings: n = 7 would take many minutes
+            raise ValueError("isomorphism classes are found for n <= 6 only")
         table = _edge_table(self.n)
-        for mask in self.masks.tolist():
-            yield _graph_from_mask(self.n, mask, table)
+        bits = [self.masks >> k & 1 for k in range(len(table))]
+        least = self.masks.copy()
+        for perm in itertools.permutations(range(self.n)):
+            image = sum(bit << table.index(tuple(sorted((perm[i], perm[j]))))
+                        for bit, (i, j) in zip(bits, table))
+            np.minimum(least, image, out=least)
+        reps, sizes = np.unique(least, return_counts=True)
+        return [(i, self.graph(i), size) for i, size in
+                zip(np.searchsorted(self.masks, reps).tolist(), sizes.tolist())]
 
     def triples(self) -> set[tuple[int, int, int]]:
         """The distinct (ind, min, match) triples of the scan."""
@@ -207,7 +224,8 @@ def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult
 def enumerate_connected(n: int):
     """Yield every connected labeled graph on n vertices, ascending by
     edge bitmask."""
-    yield from scan_invariants(n).graphs()
+    scan = scan_invariants(n)
+    yield from (scan.graph(i) for i in range(scan.count))
 
 
 def realized_set(n: int, jobs: int = 1) -> set[tuple[int, int, int]]:
@@ -352,7 +370,8 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
                        jobs: int = 1) -> VerificationReport:
     """Structural lemma checks against the per-graph solvers.
 
-    Exhaustive over connected graphs up to ``min(n_max, 6)``:
+    Exhaustive over connected graphs up to ``min(n_max, 6)``, one
+    graph per isomorphism class counted by the class size:
     vertex-deletion monotonicity of all three invariants, and exact
     invariance under deleting one of two leaves hanging off a common
     neighbor.  Seeded-random: additivity over disjoint unions, and
@@ -368,24 +387,26 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
     examined = 0
     counts = {"deletion": 0, "twin_leaf": 0, "additivity": 0,
               "suspension": 0, "chain": 0}
-    triple_memo: dict[tuple[int, tuple[int, ...]], _matching.InvariantTriple] = {}
-
-    def triple_of(G: Graph) -> _matching.InvariantTriple:
-        key = (G.n, G.adj)
-        got = triple_memo.get(key)
-        if got is None:
-            got = _matching.invariant_triple(G)
-            triple_memo[key] = got
-        return got
-
-    for n in range(2, min(n_max, 6) + 1):
-        for G in scan_invariants(n, jobs=jobs).graphs():
-            examined += 1
-            t = triple_of(G)
+    for n in range(2, n_max + 1):
+        scan = scan_invariants(n, jobs=jobs)
+        examined += scan.count
+        counts["chain"] += scan.count
+        ind_arr = scan.ind.astype(np.int16)
+        min_arr = scan.minm.astype(np.int16)
+        mat_arr = scan.match.astype(np.int16)
+        bad = ((ind_arr > min_arr) | (min_arr > mat_arr)
+               | (mat_arr > 2 * min_arr) | (mat_arr > n // 2))
+        for idx in np.nonzero(bad)[0][:_FAILURE_LIMIT].tolist():
+            _fail(failures, scan.graph(idx),
+                  "ind <= min <= match <= 2 min and match <= n/2",
+                  f"({int(ind_arr[idx])}, {int(min_arr[idx])}, {int(mat_arr[idx])})")
+        for _, G, size in scan.classes() if n <= 6 else ():
+            examined += size
+            t = _matching.invariant_triple(G)
             leaves = sum(1 << v for v in range(n) if G.degree(v) == 1)
             for v in range(n):
-                td = triple_of(delete_vertex(G, v))
-                counts["deletion"] += 1
+                td = _matching.invariant_triple(delete_vertex(G, v))
+                counts["deletion"] += size
                 if not (td.ind_match <= t.ind_match
                         and td.min_match <= t.min_match
                         and td.match <= t.match):
@@ -395,7 +416,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
                 # twin leaf: v is a leaf and its neighbour w has another leaf
                 w = G.adj[v].bit_length() - 1
                 if leaves >> v & 1 and leaves & G.adj[w] != 1 << v:
-                    counts["twin_leaf"] += 1
+                    counts["twin_leaf"] += size
                     if td != t:
                         _fail(failures, G,
                               f"deleting twin leaf {v} preserves all invariants",
@@ -410,7 +431,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
         U = disjoint_union(A, B)
         examined += 1
         counts["additivity"] += 1
-        ta, tb, tu = triple_of(A), triple_of(B), triple_of(U)
+        ta, tb, tu = map(_matching.invariant_triple, (A, B, U))
         if tuple(tu) != tuple(x + y for x, y in zip(ta, tb)):
             _fail(failures, U,
                   f"component sums {tuple(x + y for x, y in zip(ta, tb))}",
@@ -439,20 +460,6 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
                   f"suspension keeps induced matching number {before}",
                   f"measured {after}")
 
-    for n in range(2, n_max + 1):
-        scan = scan_invariants(n, jobs=jobs)
-        examined += scan.count
-        counts["chain"] += scan.count
-        ind_arr = scan.ind.astype(np.int16)
-        min_arr = scan.minm.astype(np.int16)
-        mat_arr = scan.match.astype(np.int16)
-        bad = ((ind_arr > min_arr) | (min_arr > mat_arr)
-               | (mat_arr > 2 * min_arr) | (mat_arr > n // 2))
-        for idx in np.nonzero(bad)[0][:_FAILURE_LIMIT].tolist():
-            _fail(failures, scan.graph(idx),
-                  "ind <= min <= match <= 2 min and match <= n/2",
-                  f"({int(ind_arr[idx])}, {int(min_arr[idx])}, {int(mat_arr[idx])})")
-
     return VerificationReport(
         check="lemmas", n_low=2, n_high=n_max,
         examined=examined, failures=failures,
@@ -465,7 +472,8 @@ def verify_theorem_second_main(n_max: int = 9, jobs: int = 1) -> VerificationRep
 
     Witness part: every feasible (p, q, r, n) up to ``n_max`` has a
     chordal witness whose regularity equals p.  Exhaustive part: for
-    every connected graph up to ``min(n_max, 6)``, the triple
+    every connected graph up to ``min(n_max, 6)``, checked once per
+    isomorphism class and counted by the class size, the triple
     (reg, min, match) lies in the feasible set, the sandwich
     ind <= reg <= min holds, and chordal graphs have reg = ind.
     """
@@ -497,11 +505,11 @@ def verify_theorem_second_main(n_max: int = 9, jobs: int = 1) -> VerificationRep
     for n in range(2, min(n_max, 6) + 1):
         scan = scan_invariants(n, jobs=jobs)
         expected = feasible_set(n)
-        for G, ind, mn, mt in zip(scan.graphs(), scan.ind.tolist(),
-                                  scan.minm.tolist(), scan.match.tolist()):
+        for i, G, size in scan.classes():
+            ind, mn, mt = int(scan.ind[i]), int(scan.minm[i]), int(scan.match[i])
             reg = regularity(G).reg
-            examined += 1
-            exhaustive_count += 1
+            examined += size
+            exhaustive_count += size
             if not ind <= reg <= mn:
                 _fail(failures, G,
                       f"sandwich {ind} <= reg <= {mn}", f"reg = {reg}")

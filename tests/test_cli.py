@@ -100,8 +100,13 @@ def test_construct_dot_format(capsys):
 
 
 def test_construct_invalid_params(capsys):
-    code, out, err = run_cli(capsys, ["construct", "G1", "--params", "0,0,0"])
-    assert code == 2 and err.startswith("error:")
+    # --params goes through the same parser as a full spec like G1(2,0,1),
+    # so a wrong parameter count is a usage error, not a traceback
+    for argv in (["G1", "--params", "0,0,0"], ["G1", "--params", "2,1"],
+                 ["G1", "--params", "1,2,3,4,5,6"],
+                 ["G3", "--params", "1,0,1,0,0"]):
+        code, out, err = run_cli(capsys, ["construct", *argv])
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_construct_then_invariants_pipeline(capsys):
@@ -269,6 +274,16 @@ def test_verify_failures_out(capsys, tmp_path):
                                     "--failures-out", str(target)])
     assert code == 0
     assert target.read_text() == ""
+
+
+def test_verify_failures_out_unwritable(capsys, tmp_path):
+    # the file is opened before any check runs: no report, a usage error
+    target = tmp_path / "missing" / "failures.g6"
+    code, out, err = run_cli(capsys, ["verify", "--check", "av",
+                                      "--n-max", "2",
+                                      "--failures-out", str(target)])
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not target.parent.exists()
 
 
 def test_reg_command(capsys):

@@ -1,6 +1,8 @@
 """Tests for the vectorized scan, enumeration, and verification reports."""
 
+import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -10,11 +12,13 @@ import matchinv.matching
 import matchinv.verifier
 from matchinv import (
     InvariantTriple,
+    are_isomorphic,
     connected_graph_count,
     enumerate_connected,
     feasible_set,
     graph6_decode,
     invariant_triple,
+    path_graph,
     realized_set,
     scan_invariants,
     verify_av,
@@ -106,6 +110,32 @@ def test_scan_agrees_with_solvers_sampled():
                 == tuple(t)
 
 
+def _relabeled_mask(G, perm):
+    table = [(i, j) for i in range(G.n) for j in range(i + 1, G.n)]
+    return sum(1 << table.index(tuple(sorted((perm[u], perm[v]))))
+               for u, v in G.edges())
+
+
+def test_scan_classes():
+    # connected unlabeled graphs on 2..6 vertices (OEIS A001349)
+    for n, want in zip(range(2, 7), (1, 2, 6, 21, 112)):
+        scan = scan_invariants(n)
+        classes = scan.classes()
+        assert len(classes) == want
+        assert sum(size for _, _, size in classes) == scan.count
+        perms = list(itertools.permutations(range(n)))
+        for i, G, size in classes:
+            images = [_relabeled_mask(G, perm) for perm in perms]
+            automorphisms = images.count(int(scan.masks[i]))
+            assert size == math.factorial(n) // automorphisms
+            if n <= 5:
+                assert int(scan.masks[i]) == min(images)
+        for (_, G, _), (_, H, _) in itertools.combinations(classes, 2):
+            assert not are_isomorphic(G, H)
+    with pytest.raises(ValueError):
+        scan_invariants(7).classes()
+
+
 def test_realized_set_small():
     assert realized_set(2) == {(1, 1, 1)}
     assert realized_set(3) == {(1, 1, 1)}
@@ -194,6 +224,51 @@ def test_lemma_suite_catches_broken_solver(monkeypatch):
     assert rec.expected != rec.actual
     if rec.graph6 is not None:
         graph6_decode(rec.graph6)  # failures point at a decodable graph
+
+
+def test_lemma_suite_catches_one_class_fault(monkeypatch):
+    # only the class of the path on 4 vertices is wrong: its deletion
+    # parents and twin-leaf parents on 5 vertices must show it
+    real = matchinv.matching.invariant_triple
+    path = path_graph(4)
+
+    def skewed(G):
+        t = real(G)
+        if G.n == 4 and are_isomorphic(G, path):
+            return InvariantTriple(t.ind_match, t.min_match, t.match + 3)
+        return t
+
+    monkeypatch.setattr(matchinv.matching, "invariant_triple", skewed)
+    rep = verify_lemma_suite(5, samples=1, seed=0)
+    assert not rep.passed
+    expected = {rec.expected.split(" ")[1] for rec in rep.failures}
+    assert {"vertex", "twin"} <= expected
+    assert rep.details["checks"]["deletion"] == 3806
+    assert rep.details["checks"]["twin_leaf"] == 218
+
+
+def test_exhaustive_checks_solve_one_graph_per_class(monkeypatch):
+    calls = {"triple": 0, "reg": 0}
+    real_triple = matchinv.matching.invariant_triple
+    real_reg = matchinv.verifier.regularity
+
+    def counted_triple(G):
+        calls["triple"] += 1
+        return real_triple(G)
+
+    def counted_reg(G):
+        calls["reg"] += 1
+        return real_reg(G)
+
+    monkeypatch.setattr(matchinv.matching, "invariant_triple", counted_triple)
+    monkeypatch.setattr(matchinv.verifier, "regularity", counted_reg)
+    # 142 class representatives, 809 deletions, 3 for one additivity sample
+    assert verify_lemma_suite(6, samples=1, seed=0).passed
+    assert calls["triple"] == 142 + 809 + 3
+    # 1 + 1 + 3 + 7 + 14 witnesses up to 6 vertices, 142 representatives
+    rep = verify_theorem_second_main(6)
+    assert rep.passed and rep.details["exhaustive_graphs"] == 27475
+    assert calls["reg"] == rep.details["witnesses"] + 142
 
 
 def test_second_main_small():
