@@ -1,4 +1,5 @@
-"""Tests for the vectorized scan, enumeration, and verification reports."""
+"""Tests for the labeled scan (edge-mask invariant tables plus the
+connectivity filter), enumeration, and verification reports."""
 
 import itertools
 import json
@@ -8,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 import matchinv.matching
 import matchinv.verifier
 from matchinv import (
@@ -16,6 +18,7 @@ from matchinv import (
     connected_graph_count,
     enumerate_connected,
     feasible_set,
+    from_edge_list,
     graph6_decode,
     invariant_triple,
     path_graph,
@@ -30,7 +33,7 @@ from matchinv import (
 from matchinv.verifier import (
     VerificationReport,
     FailureRecord,
-    _matching_patterns,
+    _invariant_tables,
 )
 
 
@@ -41,15 +44,15 @@ def test_connected_graph_count_frozen():
         connected_graph_count(0)
 
 
-def test_matching_patterns():
-    # matchings of K_n, empty included: 1, 2, 4, 10, 26, 76, 232
-    for n, count in [(1, 1), (2, 2), (3, 4), (4, 10), (7, 232)]:
-        assert len(_matching_patterns(n)) == count
-    pats = _matching_patterns(4)
-    # single edge (0,1): avoid only the opposite pair (2,3)
-    assert (1, 0b000001, 0b100000, 0) in pats
-    # perfect matching (0,1),(2,3): forbid the four cross pairs
-    assert (2, 0b100001, 0, 0b011110) in pats
+def test_invariant_tables_match_oracle():
+    # all 1,098 labeled graphs on 2..5 vertices, disconnected ones included
+    for n in range(2, 6):
+        table = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ind, minm, match = _invariant_tables(n)
+        assert ind.shape == minm.shape == match.shape == (1 << len(table),)
+        for mask in range(1 << len(table)):
+            G = from_edge_list(n, [e for k, e in enumerate(table) if mask >> k & 1])
+            assert (ind[mask], minm[mask], match[mask]) == oracles.triple(G), mask
 
 
 def test_enumerate_connected_order():
