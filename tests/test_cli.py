@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import matchinv.verifier
 from matchinv import graph6_decode, invariant_triple
 from matchinv.cli import main
 
@@ -183,6 +184,17 @@ def test_verify_first_main(capsys):
     assert [row["n_range"] for row in rows] == [[2, 2], [3, 3], [4, 4]]
     assert all(row["passed"] for row in rows)
     assert all("elapsed" not in row for row in rows)
+
+
+def test_verify_jobs_changes_nothing(capsys, monkeypatch):
+    outs = []
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(matchinv.verifier, "_scan_cache", {})  # scan again
+        code, out, _ = run_cli(capsys, ["verify", "--check", "first-main",
+                                        "--n-max", "6", "--jobs", jobs])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_verify_timing_flag(capsys):

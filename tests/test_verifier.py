@@ -1,5 +1,5 @@
-"""Tests for the labeled scan (edge-mask invariant tables plus the
-connectivity filter), enumeration, and verification reports."""
+"""Tests for the labeled scan (edge-mask tables of the three invariants
+and of connectivity), enumeration, and verification reports."""
 
 import itertools
 import json
@@ -48,11 +48,13 @@ def test_invariant_tables_match_oracle():
     # all 1,098 labeled graphs on 2..5 vertices, disconnected ones included
     for n in range(2, 6):
         table = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        ind, minm, match = _invariant_tables(n)
-        assert ind.shape == minm.shape == match.shape == (1 << len(table),)
+        ind, minm, match, connected = _invariant_tables(n)
+        assert ind.shape == minm.shape == match.shape == connected.shape \
+            == (1 << len(table),)
         for mask in range(1 << len(table)):
             G = from_edge_list(n, [e for k, e in enumerate(table) if mask >> k & 1])
             assert (ind[mask], minm[mask], match[mask]) == oracles.triple(G), mask
+            assert connected[mask] == oracles.connected(G), mask
 
 
 def test_enumerate_connected_order():
@@ -298,19 +300,3 @@ def test_sampled_mode():
         verify_first_main_sampled(10, 10, seed=0)
     with pytest.raises(ValueError):
         verify_first_main_sampled(8, 0, seed=0)
-
-
-def test_scan_pool_size_is_capped_by_chunks(monkeypatch):
-    # n = 7 splits into 2^21 / 2^18 = 8 chunks; more workers would be idle
-    asked = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-            raise RuntimeError("no pool in this test")
-
-    monkeypatch.setattr(matchinv.verifier, "ProcessPoolExecutor", Recorder)
-    with pytest.raises(RuntimeError):
-        scan_invariants(7, jobs=64, use_cache=False)
-    assert asked == [8]
-
