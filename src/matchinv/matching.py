@@ -9,8 +9,12 @@ Three numbers per graph:
 * ``ind_match_number`` -- maximum induced matching size (NP-hard, exact
   branch and bound over edge conflict masks)
 
-The branch-and-bound solvers are meant for desk scale (dozens of vertices
-for sparse or clique-plus-pendant shapes, n <= ~16 in the worst case).
+The branch-and-bound solvers are exact and exponential in the worst case.
+They are quick on random graphs up to about 18 vertices and on most
+family witnesses up to 64, but ``min_match_number`` takes over 3 s on
+some G2 and G3 witnesses from 20 vertices up, and over 20 s on random
+graphs near 30 vertices; measured figures are in the README, under
+"Limits and caveats".
 Certificate variants return the lexicographically first optimal matching
 under the fixed (u, v)-sorted edge order, so repeated runs are identical.
 One routine builds all three on top of the solvers above; it makes up to

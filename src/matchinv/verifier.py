@@ -1,20 +1,23 @@
 """Exhaustive small-n verification of the realizability results.
 
 Connected labeled graphs on n <= 7 vertices are enumerated as edge
-bitmasks over the n*(n-1)/2 vertex pairs.  The three matching invariants
-and the connectivity of every edge mask, connected or not, fill tables
-by recurrences on the mask's top edge (``_invariant_tables``), and the
-connected masks are the scan.  This route is
-independent of the per-graph solvers in :mod:`matchinv.matching` and the
-two are cross-checked in the test suite; the tables are also checked
-against the brute-force oracles on every labeled graph with n <= 5.
-The edge-mask format stays behind ``ScanResult``: every exhaustive check
-reads its graphs from the scan it holds (``graph(i)``) and its realized
-triples from ``triples()``.
-The lemma and regularity checks test isomorphism-invariant statements,
-so they take one graph per isomorphism class from ``classes()`` (n <= 6)
-and count it ``size`` times; the classes come from the scan's own masks,
-not from a second enumeration.
+bitmasks over the n*(n-1)/2 vertex pairs.  The three matching invariants,
+the connectivity and the vertex neighbourhoods of every edge mask,
+connected or not, fill tables by recurrences on the mask's top edge
+(``_invariant_tables``), and the connected masks are the scan.  This
+route is independent of the per-graph solvers in :mod:`matchinv.matching`
+and the two are cross-checked in the test suite; the tables are also
+checked against the brute-force oracles on every labeled graph with
+n <= 5.  The edge-mask format stays behind ``ScanResult``: the
+first-main, av and second-main checks read their graphs from the scan
+they hold (``graph(i)``) and their realized triples from ``triples()``.
+The second-main check tests isomorphism-invariant statements, so it
+takes one graph per isomorphism class from ``classes()`` (n <= 6) and
+counts it ``size`` times; the classes come from the scan's own masks,
+not from a second enumeration.  The lemma suite reads the tables
+themselves, where G - v is the mask of G without the pairs at v: its
+exhaustive lemmas compare table entries with table entries, and only its
+two seeded samples call the per-graph solvers, against the tables.
 
 The tables are filled in the calling process, the invariant tables in
 blocks of at most ``_CHUNK`` masks.
@@ -33,8 +36,8 @@ import numpy as np
 
 from . import matching as _matching
 from .graph import (Graph, _bits, are_isomorphic, complete_bipartite_graph,
-                    complete_graph, delete_vertex, disjoint_union,
-                    graph6_encode, is_chordal, is_connected, s_suspension)
+                    complete_graph, disjoint_union, graph6_encode, is_chordal,
+                    is_connected, s_suspension)
 from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
 
@@ -60,7 +63,8 @@ def _edge_table(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _graph_from_mask(n: int, mask: int, table: list[tuple[int, int]]) -> Graph:
+def _graph_from_mask(n: int, mask: int) -> Graph:
+    table = _edge_table(n)
     rows = [0] * n
     for k in _bits(mask):
         i, j = table[k]
@@ -69,9 +73,9 @@ def _graph_from_mask(n: int, mask: int, table: list[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _invariant_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """ind, min and match numbers and connectivity of every edge mask on n
-    vertices.
+def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
+    """ind, min and match numbers, connectivity and neighbourhoods of every
+    edge mask on n vertices: ``ind, minm, match, connected, nbr``.
 
     A mask m in [2^k, 2^(k+1)) holds edge k = {i, j} and lower edges
     only, and each recurrence reads proper submasks without edge k, which
@@ -86,7 +90,8 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     plus j for v = i and plus i for v = j.  Edge k joins the components of
     i and j, so comp[v][m] is comp[i][m'] | comp[j][m'] when comp[v][m']
     holds i or j, and comp[v][m'] otherwise; m is connected when comp[0][m]
-    holds every vertex.
+    holds every vertex.  For n = 1 the one mask is edgeless, with all
+    three numbers 0.
     """
     table = _edge_table(n)
     full = (1 << n) - 1
@@ -122,7 +127,7 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
                     peel = ind[m & inside[full ^ (nbr[j, block] | nbr[x, block])]] + 1
                     np.maximum(best, np.where(m >> e & 1, peel, 0), out=best)
             ind[block] = best
-    return ind, minm, match, comp[0] == full
+    return ind, minm, match, comp[0] == full, nbr
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ class ScanResult:
 
     def graph(self, i: int) -> Graph:
         """The i-th graph of the scan."""
-        return _graph_from_mask(self.n, int(self.masks[i]), _edge_table(self.n))
+        return _graph_from_mask(self.n, int(self.masks[i]))
 
     def classes(self) -> list[tuple[int, Graph, int]]:
         """One ``(index, graph, size)`` per isomorphism class, ascending.
@@ -184,7 +189,7 @@ def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult
         raise ValueError(f"exhaustive scan supports 2 <= n <= {_SCAN_CAP}")
     if use_cache and n in _scan_cache:
         return _scan_cache[n]
-    ind, minm, match, connected = _invariant_tables(n)
+    ind, minm, match, connected = _invariant_tables(n)[:4]  # nbr freed here
     masks = np.flatnonzero(connected)
     result = ScanResult(n, masks, ind[masks], minm[masks], match[masks])
     if use_cache:
@@ -331,87 +336,100 @@ def verify_av(n: int) -> VerificationReport:
         elapsed=time.perf_counter() - t0)
 
 
-def _random_graph(rng: random.Random, n: int) -> Graph:
-    table = _edge_table(n)
-    mask = rng.getrandbits(len(table))
-    return _graph_from_mask(n, mask, table)
+def _random_graph(rng: random.Random, n: int) -> tuple[int, Graph]:
+    """A uniformly random labeled graph on n vertices, with its edge mask."""
+    mask = rng.getrandbits(n * (n - 1) // 2)
+    return mask, _graph_from_mask(n, mask)
+
+
+def _table_lemmas(n: int, counts: dict, failures: list[FailureRecord]
+                  ) -> tuple[np.ndarray, int]:
+    """The exhaustive lemmas on the n-vertex tables, table entry against
+    table entry: the chain on the connected masks, and for n <= 6
+    deletion and twin leaf on them.  Returns the table rows that the
+    samples read (ind, min and match for n <= 6, ind alone above) and
+    the number of graphs examined: each connected mask once for the
+    chain and, for n <= 6, once more for deletion and twin leaf."""
+    ind, minm, match, connected, nbr = _invariant_tables(n)
+    count = int(np.count_nonzero(connected))
+    counts["chain"] += count
+    bad = (ind > minm) | (minm > match) | (match > n // 2)
+    bad |= match - minm > minm  # match > 2 min; uint8 wraps only where min > match
+    bad &= connected
+    for m in np.flatnonzero(bad)[:_FAILURE_LIMIT].tolist():
+        _fail(failures, _graph_from_mask(n, m),
+              "ind <= min <= match <= 2 min and match <= n/2",
+              f"({ind[m]}, {minm[m]}, {match[m]})")
+    if n > 6:
+        return ind[None], count
+    t = np.stack((ind, minm, match))
+    counts["deletion"] += n * count
+    masks = np.flatnonzero(connected)
+    # G - v is G without the pairs at v; v stays isolated, which changes
+    # no invariant
+    rest = np.array([sum(1 << k for k, e in enumerate(_edge_table(n)) if v not in e)
+                     for v in range(n)])
+    whole, deleted = t[:, masks], t[:, masks & rest[:, None]]  # (3, M), (3, n, M)
+    adj = nbr[:, masks]  # (n, M)
+    leaf = (adj != 0) & ((adj & (adj - 1)) == 0)  # one neighbour
+    # a twin leaf shares its neighbour with another leaf
+    twin = leaf & ((leaf & (adj == adj[:, None])).sum(axis=1) > 1)
+    counts["twin_leaf"] += int(np.count_nonzero(twin))
+    for wrong, expected in (((deleted > whole[:, None]).any(axis=0),
+                             "deleting vertex {} cannot increase any invariant"),
+                            (twin & (deleted != whole[:, None]).any(axis=0),
+                             "deleting twin leaf {} preserves all invariants")):
+        for i, v in np.argwhere(wrong.T)[:_FAILURE_LIMIT].tolist():
+            _fail(failures, _graph_from_mask(n, int(masks[i])), expected.format(v),
+                  f"{tuple(whole[:, i].tolist())} -> {tuple(deleted[:, v, i].tolist())}")
+    return t, 2 * count
 
 
 def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
                        seed: int = 0) -> VerificationReport:
-    """Structural lemma checks against the per-graph solvers.
+    """Structural lemma checks on the edge-mask tables.
 
-    Exhaustive over connected graphs up to ``min(n_max, 6)``, one
-    graph per isomorphism class counted by the class size:
-    vertex-deletion monotonicity of all three invariants, and exact
-    invariance under deleting one of two leaves hanging off a common
-    neighbor.  Seeded-random: additivity over disjoint unions, and
-    preservation of the induced matching number by one-vertex
-    suspensions over an independent set.  The chain
-    ind <= min <= match <= 2 min and match <= n/2 is checked on the
-    labeled scan up to ``n_max``.
+    ``_invariant_tables(n)`` holds every graph on n vertices, connected or
+    not.  The chain ind <= min <= match <= 2 min and match <= n/2 is
+    checked on the connected masks up to ``n_max``.  Exhaustive over
+    connected graphs up to ``min(n_max, 6)``, comparing table entries
+    with table entries: vertex-deletion monotonicity of all three
+    invariants, and exact invariance under deleting a twin leaf, a leaf v
+    with a second leaf u on the same neighbour (nbr[u] = nbr[v]).
+    Seeded-random, comparing the per-graph solvers with the tables:
+    additivity over disjoint unions of graphs on 1..min(5, n_max)
+    vertices, and preservation of the induced matching number by
+    one-vertex suspensions, over an independent set, of graphs on
+    2..n_max vertices without isolated vertices.
     """
     if not 2 <= n_max <= _SCAN_CAP:
         raise ValueError(f"the lemma suite supports 2 <= n <= {_SCAN_CAP}")
     t0 = time.perf_counter()
     failures: list[FailureRecord] = []
-    examined = 0
-    counts = {"deletion": 0, "twin_leaf": 0, "additivity": 0,
-              "suspension": 0, "chain": 0}
+    examined = 2 * samples
+    counts = {"deletion": 0, "twin_leaf": 0, "additivity": samples,
+              "suspension": samples, "chain": 0}
+    tables = {1: np.stack(_invariant_tables(1)[:3])}  # rows ind, min, match
     for n in range(2, n_max + 1):
-        scan = scan_invariants(n)
-        examined += scan.count
-        counts["chain"] += scan.count
-        ind_arr = scan.ind.astype(np.int16)
-        min_arr = scan.minm.astype(np.int16)
-        mat_arr = scan.match.astype(np.int16)
-        bad = ((ind_arr > min_arr) | (min_arr > mat_arr)
-               | (mat_arr > 2 * min_arr) | (mat_arr > n // 2))
-        for idx in np.nonzero(bad)[0][:_FAILURE_LIMIT].tolist():
-            _fail(failures, scan.graph(idx),
-                  "ind <= min <= match <= 2 min and match <= n/2",
-                  f"({int(ind_arr[idx])}, {int(min_arr[idx])}, {int(mat_arr[idx])})")
-        for _, G, size in scan.classes() if n <= 6 else ():
-            examined += size
-            t = _matching.invariant_triple(G)
-            leaves = sum(1 << v for v in range(n) if G.degree(v) == 1)
-            for v in range(n):
-                td = _matching.invariant_triple(delete_vertex(G, v))
-                counts["deletion"] += size
-                if not (td.ind_match <= t.ind_match
-                        and td.min_match <= t.min_match
-                        and td.match <= t.match):
-                    _fail(failures, G,
-                          f"deleting vertex {v} cannot increase any invariant",
-                          f"{tuple(t)} -> {tuple(td)}")
-                # twin leaf: v is a leaf and its neighbour w has another leaf
-                w = G.adj[v].bit_length() - 1
-                if leaves >> v & 1 and leaves & G.adj[w] != 1 << v:
-                    counts["twin_leaf"] += size
-                    if td != t:
-                        _fail(failures, G,
-                              f"deleting twin leaf {v} preserves all invariants",
-                              f"{tuple(t)} -> {tuple(td)}")
+        tables[n], seen = _table_lemmas(n, counts, failures)
+        examined += seen
 
     rng = random.Random(seed)
     for _ in range(samples):
-        n1 = rng.randint(1, 5)
-        n2 = rng.randint(1, 5)
-        A = _random_graph(rng, n1)
-        B = _random_graph(rng, n2)
+        n1 = rng.randint(1, min(5, n_max))
+        n2 = rng.randint(1, min(5, n_max))
+        a, A = _random_graph(rng, n1)
+        b, B = _random_graph(rng, n2)
         U = disjoint_union(A, B)
-        examined += 1
-        counts["additivity"] += 1
-        ta, tb, tu = map(_matching.invariant_triple, (A, B, U))
-        if tuple(tu) != tuple(x + y for x, y in zip(ta, tb)):
-            _fail(failures, U,
-                  f"component sums {tuple(x + y for x, y in zip(ta, tb))}",
-                  f"union measured {tuple(tu)}")
+        sums = tuple((tables[n1][:, a] + tables[n2][:, b]).tolist())
+        measured = tuple(_matching.invariant_triple(U))
+        if measured != sums:
+            _fail(failures, U, f"component sums {sums}", f"union measured {measured}")
 
     for _ in range(samples):
         while True:
-            n = rng.randint(2, 7)
-            G = _random_graph(rng, n)
+            n = rng.randint(2, n_max)
+            mask, G = _random_graph(rng, n)
             # the suspension lemma assumes no isolated vertices
             if all(G.degree(v) > 0 for v in range(n)):
                 break
@@ -422,9 +440,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
             if not G.adj[v] & smask:
                 smask |= 1 << v
         H = s_suspension(G, _bits(smask))
-        examined += 1
-        counts["suspension"] += 1
-        before = _matching.ind_match_number(G)
+        before = int(tables[n][0, mask])
         after = _matching.ind_match_number(H)
         if before != after:
             _fail(failures, H,
@@ -513,7 +529,7 @@ def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationRepo
     failures: list[FailureRecord] = []
     connected = 0
     for _ in range(count):
-        G = _random_graph(rng, n)
+        _, G = _random_graph(rng, n)
         if not is_connected(G):
             continue
         connected += 1

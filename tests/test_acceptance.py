@@ -1,8 +1,13 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Every check is exact (integer equality, set equality, byte equality);
-there are no numeric tolerances anywhere.
+there are no numeric tolerances anywhere.  Criteria 2, 4, 5 and 6 build
+the reports of the four benchmark ``verify`` commands, and compare them
+byte for byte with the stdout stored in ``perfbench/fixtures/verify.json``.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +36,15 @@ from matchinv import (
 )
 
 
+VERIFY_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" \
+    / "verify.json"
+
+
+def _fixture_lines(check):
+    """The stdout lines of one ``matchinv verify`` command, as stored."""
+    return json.loads(VERIFY_FIXTURE.read_text())[check]["stdout"].splitlines()
+
+
 def _report(capsys, num, name, ok):
     # step around pytest's capture so the line shows in live/teed output
     with capsys.disabled():
@@ -57,11 +71,14 @@ def test_criterion_1_family_grid_closed_forms(capsys):
 
 def test_criterion_2_realized_equals_feasible(capsys):
     ok = True
+    lines = []
     for n in range(2, 8):
         rep = verify_theorem_first_main(n)
         ok &= rep.passed
         ok &= rep.examined == connected_graph_count(n)
         ok &= realized_set(n) == feasible_set(n)
+        lines.append(rep.to_json())
+    ok &= lines == _fixture_lines("first_main")
     assert _report(capsys, 2, "realized set equals feasible set for n <= 7", ok)
 
 
@@ -87,12 +104,15 @@ def test_criterion_3_witness_synthesis(capsys):
 
 def test_criterion_4_extremal_classification(capsys):
     ok = True
+    lines = []
     for n in (2, 4, 6):
         rep = verify_av(n)
         ok &= rep.passed
         ok &= rep.details["targets_found"].get("complete") is True
         if n >= 4:
             ok &= rep.details["targets_found"].get("balanced_bipartite") is True
+        lines.append(rep.to_json())
+    ok &= lines == _fixture_lines("av")
     assert _report(capsys, 4, "extremal graphs are complete or balanced bipartite", ok)
 
 
@@ -106,6 +126,7 @@ def test_criterion_5_lemma_suite(capsys):
     ok &= counts["suspension"] == 10000
     ok &= counts["twin_leaf"] > 0
     ok &= counts["chain"] == sum(connected_graph_count(n) for n in range(2, 8))
+    ok &= [rep.to_json()] == _fixture_lines("lemmas")  # twin_leaf == 4148
     assert _report(capsys, 5, "lemma suite (deletion, twins, additivity, suspension, "
                       "chain)", ok)
 
@@ -122,6 +143,7 @@ def test_criterion_6_regularity(capsys):
                                           for n in range(2, 10)) == 58
     ok &= rep.details["exhaustive_graphs"] == sum(connected_graph_count(n)
                                                   for n in range(2, 7))
+    ok &= [rep.to_json()] == _fixture_lines("second_main")
     assert _report(capsys, 6, "regularity witnesses and exhaustive sandwich", ok)
 
 

@@ -20,10 +20,11 @@ from matchinv import (
     feasible_set,
     from_edge_list,
     graph6_decode,
+    graph6_encode,
     invariant_triple,
-    path_graph,
     realized_set,
     scan_invariants,
+    star_graph,
     verify_av,
     verify_first_main_sampled,
     verify_lemma_suite,
@@ -48,13 +49,18 @@ def test_invariant_tables_match_oracle():
     # all 1,098 labeled graphs on 2..5 vertices, disconnected ones included
     for n in range(2, 6):
         table = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        ind, minm, match, connected = _invariant_tables(n)
+        ind, minm, match, connected, nbr = _invariant_tables(n)
         assert ind.shape == minm.shape == match.shape == connected.shape \
             == (1 << len(table),)
+        assert nbr.shape == (n, 1 << len(table))
         for mask in range(1 << len(table)):
             G = from_edge_list(n, [e for k, e in enumerate(table) if mask >> k & 1])
             assert (ind[mask], minm[mask], match[mask]) == oracles.triple(G), mask
             assert connected[mask] == oracles.connected(G), mask
+            assert [nbr[v][mask] for v in range(n)] == list(G.adj), mask
+    # the one-vertex graph: one edgeless mask, all three numbers 0
+    assert [t.tolist() for t in _invariant_tables(1)] \
+        == [[0], [0], [0], [True], [[0]]]
 
 
 def test_enumerate_connected_order():
@@ -104,13 +110,15 @@ def test_scan_agrees_with_solvers_exhaustive():
 
 
 def test_scan_agrees_with_solvers_sampled():
+    # every isomorphism class at n = 6, seeded labeled graphs at n = 7
+    six, seven = scan_invariants(6), scan_invariants(7)
+    reps = [i for i, _, _ in six.classes()]
+    assert len(reps) == 112
     rng = random.Random(31)
-    for n in (6, 7):
-        scan = scan_invariants(n)
-        for _ in range(250):
-            i = rng.randrange(scan.count)
-            G = scan.graph(i)
-            t = invariant_triple(G)
+    for scan, indices in ((six, reps),
+                          (seven, [rng.randrange(seven.count) for _ in range(250)])):
+        for i in indices:
+            t = invariant_triple(scan.graph(i))
             assert (int(scan.ind[i]), int(scan.minm[i]), int(scan.match[i])) \
                 == tuple(t)
 
@@ -232,24 +240,51 @@ def test_lemma_suite_catches_broken_solver(monkeypatch):
 
 
 def test_lemma_suite_catches_one_class_fault(monkeypatch):
-    # only the class of the path on 4 vertices is wrong: its deletion
-    # parents and twin-leaf parents on 5 vertices must show it
-    real = matchinv.matching.invariant_triple
-    path = path_graph(4)
+    # one table entry is wrong: match + 1 for the path 0-1-2-3 plus the
+    # isolated vertex 4.  Its 15 connected deletion parents (vertex 4
+    # joined to any nonempty subset of 0..3) and its 2 twin-leaf parents
+    # (vertex 4 hung on 1 or on 2) must show it.
+    real = matchinv.verifier._invariant_tables
+    table = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    path = sum(1 << table.index(e) for e in ((0, 1), (1, 2), (2, 3)))
 
-    def skewed(G):
-        t = real(G)
-        if G.n == 4 and are_isomorphic(G, path):
-            return InvariantTriple(t.ind_match, t.min_match, t.match + 3)
-        return t
+    def skewed(n):
+        tables = real(n)
+        if n == 5:
+            tables[2][path] += 1
+        return tables
 
-    monkeypatch.setattr(matchinv.matching, "invariant_triple", skewed)
+    monkeypatch.setattr(matchinv.verifier, "_invariant_tables", skewed)
     rep = verify_lemma_suite(5, samples=1, seed=0)
     assert not rep.passed
-    expected = {rec.expected.split(" ")[1] for rec in rep.failures}
-    assert {"vertex", "twin"} <= expected
+    assert len(rep.failures) == 17
+    expected = [rec.expected.split(" ")[1] for rec in rep.failures]
+    assert expected.count("vertex") == 15 and expected.count("twin") == 2
+    for rec in rep.failures:
+        G = graph6_decode(rec.graph6)  # failures point at a decodable graph
+        assert G.adj[4] and [e for e in G.edges() if 4 not in e] \
+            == [(0, 1), (1, 2), (2, 3)]
+        assert rec.actual.endswith(", 3)")
     assert rep.details["checks"]["deletion"] == 3806
     assert rep.details["checks"]["twin_leaf"] == 218
+
+
+def test_lemma_suite_chain_catches_table_fault(monkeypatch):
+    # match 3 for the star centred at 0 on 6 vertices (pairs 0..4 of the
+    # edge table): of the chain, only match <= 2 min excludes (1, 1, 3)
+    real = matchinv.verifier._invariant_tables
+
+    def skewed(n):
+        tables = real(n)
+        if n == 6:
+            tables[2][0b11111] = 3
+        return tables
+
+    monkeypatch.setattr(matchinv.verifier, "_invariant_tables", skewed)
+    rep = verify_lemma_suite(6, samples=1, seed=0)
+    chain = [(rec.graph6, rec.actual) for rec in rep.failures
+             if rec.expected.startswith("ind <= min")]
+    assert chain == [(graph6_encode(star_graph(5)), "(1, 1, 3)")]
 
 
 def test_exhaustive_checks_solve_one_graph_per_class(monkeypatch):
@@ -267,9 +302,10 @@ def test_exhaustive_checks_solve_one_graph_per_class(monkeypatch):
 
     monkeypatch.setattr(matchinv.matching, "invariant_triple", counted_triple)
     monkeypatch.setattr(matchinv.verifier, "regularity", counted_reg)
-    # 142 class representatives, 809 deletions, 3 for one additivity sample
-    assert verify_lemma_suite(6, samples=1, seed=0).passed
-    assert calls["triple"] == 142 + 809 + 3
+    # the lemma suite reads its exhaustive values from the tables: one
+    # solve per additivity sample (the disjoint union) and none else
+    assert verify_lemma_suite(6, samples=3, seed=0).passed
+    assert calls["triple"] == 3
     # 1 + 1 + 3 + 7 + 14 witnesses up to 6 vertices, 142 representatives
     rep = verify_theorem_second_main(6)
     assert rep.passed and rep.details["exhaustive_graphs"] == 27475
