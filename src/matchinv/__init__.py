@@ -6,10 +6,10 @@ closed-form realizability test with witness synthesis, edge-ideal
 regularity at desk scale, and exhaustive small-n verifiers.
 """
 
-from .graph import (Graph, are_isomorphic, complement, complete_bipartite_graph,
-                    complete_graph, connected_components, delete_vertex,
-                    disjoint_union, from_edge_list, graph6_decode,
-                    graph6_encode, induced_subgraph, is_chordal, is_connected,
+from .graph import (Graph, complement, complete_bipartite_graph, complete_graph,
+                    connected_components, delete_vertex, disjoint_union,
+                    from_edge_list, graph6_decode, graph6_encode,
+                    induced_subgraph, is_chordal, is_connected,
                     is_independent_set, path_graph, s_suspension, standard_graph,
                     star_graph, to_dot)
 from .matching import (InvariantTriple, Matching, ind_match_number,

@@ -263,44 +263,6 @@ def is_chordal(G: Graph) -> bool:
     return True
 
 
-def are_isomorphic(G: Graph, H: Graph) -> bool:
-    """Backtracking isomorphism test with degree pruning; meant for n <= 10."""
-    if G.n != H.n or G.edge_count != H.edge_count:
-        return False
-    n = G.n
-    if sorted(G.degree(v) for v in range(n)) != sorted(H.degree(v) for v in range(n)):
-        return False
-    gorder = sorted(range(n), key=G.degree, reverse=True)
-    mapping = [-1] * n  # gorder position -> H vertex
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        v = gorder[i]
-        vdeg = G.degree(v)
-        # neighbors of v already placed, as an H-side mask
-        placed_nbrs = 0
-        for j in range(i):
-            if G.has_edge(v, gorder[j]):
-                placed_nbrs |= 1 << mapping[j]
-        for h in range(n):
-            if used >> h & 1 or H.degree(h) != vdeg:
-                continue
-            if H.adj[h] & used != placed_nbrs:
-                continue
-            mapping[i] = h
-            used |= 1 << h
-            if extend(i + 1):
-                return True
-            used ^= 1 << h
-            mapping[i] = -1
-        return False
-
-    return extend(0)
-
-
 # ---------------------------------------------------------------------------
 # graph6 text format
 # ---------------------------------------------------------------------------

@@ -11,13 +11,16 @@ checked against the brute-force oracles on every labeled graph with
 n <= 5.  The edge-mask format stays behind ``ScanResult``: the
 first-main, av and second-main checks read their graphs from the scan
 they hold (``graph(i)``) and their realized triples from ``triples()``.
-The second-main check tests isomorphism-invariant statements, so it
-takes one graph per isomorphism class from ``classes()`` (n <= 6) and
-counts it ``size`` times; the classes come from the scan's own masks,
-not from a second enumeration.  The lemma suite reads the tables
-themselves, where G - v is the mask of G without the pairs at v: its
-exhaustive lemmas compare table entries with table entries, and only its
-two seeded samples call the per-graph solvers, against the tables.
+The av and second-main checks test isomorphism-invariant statements and
+decide isomorphism by ``canonical()``, the least mask over all
+relabelings: av compares the forms of its extremal graphs with those of
+K_n and K_{n/2,n/2}, and second-main takes one graph per class from
+``classes()`` (n <= 6) and counts it ``size`` times.  The forms come from
+the scan's own masks, not from a second enumeration.  The lemma suite
+reads the tables themselves, where G - v is the mask of G without the
+pairs at v: its exhaustive lemmas compare table entries with table
+entries, and only its two seeded samples call the per-graph solvers,
+against the tables.
 
 The tables are filled in the calling process, the invariant tables in
 blocks of at most ``_CHUNK`` masks.
@@ -25,7 +28,6 @@ blocks of at most ``_CHUNK`` masks.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -35,8 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import matching as _matching
-from .graph import (Graph, _bits, are_isomorphic, complete_bipartite_graph,
-                    complete_graph, disjoint_union, graph6_encode, is_chordal,
+from .graph import (Graph, _bits, disjoint_union, graph6_encode, is_chordal,
                     is_connected, s_suspension)
 from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
@@ -148,23 +149,38 @@ class ScanResult:
         """The i-th graph of the scan."""
         return _graph_from_mask(self.n, int(self.masks[i]))
 
+    def canonical(self) -> np.ndarray:
+        """The least edge mask over all n! relabelings of each scan entry.
+
+        Swapping vertices v and v + 1 (v = 0..n-2) permutes the edge bits:
+        pairs {v, x} and {v + 1, x} trade places.  These n - 1 swaps
+        generate S_n, and every relabeling is a product of at most C(n, 2)
+        of them, the length of the longest permutation, so C(n, 2) rounds
+        of taking each mask's least label over its swap images leave every
+        mask labeled with the least mask of its class.  Every edge mask
+        gets a label, connected or not; relabeling keeps a graph connected,
+        so the scan's entries read their forms from the same array.
+        """
+        table = _edge_table(self.n)
+        least = np.arange(1 << len(table), dtype=np.int32)  # each mask its own label
+        images = []
+        for v in range(self.n - 1):
+            swap = {v: v + 1, v + 1: v}
+            images.append(sum((least >> k & 1) << table.index(
+                tuple(sorted((swap.get(i, i), swap.get(j, j)))))
+                for k, (i, j) in enumerate(table)))
+        for _ in range(len(table)):
+            for image in images:
+                np.minimum(least, least[image], out=least)  # least[image] copies
+        return least[self.masks]
+
     def classes(self) -> list[tuple[int, Graph, int]]:
         """One ``(index, graph, size)`` per isomorphism class, ascending.
 
-        ``index`` points at the class's least edge mask over all n!
-        relabelings (relabeling keeps a graph connected, so that mask is
-        in the scan) and ``size`` counts the labeled graphs of the class.
+        ``index`` points at the class's least edge mask, its ``canonical()``
+        form, and ``size`` counts the labeled graphs of the class.
         """
-        if self.n > 6:  # n! relabelings: n = 7 would take many minutes
-            raise ValueError("isomorphism classes are found for n <= 6 only")
-        table = _edge_table(self.n)
-        bits = [self.masks >> k & 1 for k in range(len(table))]
-        least = self.masks.copy()
-        for perm in itertools.permutations(range(self.n)):
-            image = sum(bit << table.index(tuple(sorted((perm[i], perm[j]))))
-                        for bit, (i, j) in zip(bits, table))
-            np.minimum(least, image, out=least)
-        reps, sizes = np.unique(least, return_counts=True)
+        reps, sizes = np.unique(self.canonical(), return_counts=True)
         return [(i, self.graph(i), size) for i, size in
                 zip(np.searchsorted(self.masks, reps).tolist(), sizes.tolist())]
 
@@ -310,29 +326,26 @@ def verify_av(n: int) -> VerificationReport:
     t0 = time.perf_counter()
     scan = scan_invariants(n)
     half = n // 2
-    targets = {"complete": complete_graph(n)}
-    if n >= 4:
-        targets["balanced_bipartite"] = complete_bipartite_graph(half, half)
-    found = dict.fromkeys(targets, False)
+    forms = scan.canonical()
+    targets = {"complete": forms[-1]}  # K_n has the largest mask
+    if n >= 4:  # K_{h,h} with sides 0..h-1 and h..n-1
+        bipartite = sum(1 << k for k, (i, j) in enumerate(_edge_table(n))
+                        if i < half <= j)
+        targets["balanced_bipartite"] = forms[np.searchsorted(scan.masks, bipartite)]
+    extremal = np.flatnonzero(scan.minm == half)
     failures: list[FailureRecord] = []
-    extremal = 0
-    for i in np.nonzero(scan.minm == half)[0].tolist():
-        extremal += 1
-        G = scan.graph(i)
-        name = next((k for k, T in targets.items() if are_isomorphic(G, T)), None)
-        if name is None:
-            _fail(failures, G,
-                  "isomorphic to the complete or balanced bipartite graph",
-                  f"extremal graph with min match {half} of another shape")
-        else:
-            found[name] = True
+    for i in extremal[~np.isin(forms[extremal], list(targets.values()))].tolist():
+        _fail(failures, scan.graph(i),
+              "isomorphic to the complete or balanced bipartite graph",
+              f"extremal graph with min match {half} of another shape")
+    found = {name: form in forms[extremal] for name, form in targets.items()}
     for name, ok in found.items():
         if not ok:
             _fail(failures, None,
                   f"{name} graph attains min match {half}", "not found in scan")
     return VerificationReport(
         check="av", n_low=n, n_high=n, examined=scan.count, failures=failures,
-        details={"extremal_count": extremal, "targets_found": found},
+        details={"extremal_count": len(extremal), "targets_found": found},
         elapsed=time.perf_counter() - t0)
 
 
@@ -462,7 +475,10 @@ def verify_theorem_second_main(n_max: int = 9) -> VerificationReport:
     every connected graph up to ``min(n_max, 6)``, checked once per
     isomorphism class and counted by the class size, the triple
     (reg, min, match) lies in the feasible set, the sandwich
-    ind <= reg <= min holds, and chordal graphs have reg = ind.
+    ind <= reg <= min holds, and chordal graphs have reg = ind.  The
+    exhaustive part stops at 6 vertices although ``classes()`` reaches 7:
+    the 853 classes at 7 would change the report's ``exhaustive_graphs``
+    count (27,475 labeled graphs up to 6 vertices).
     """
     if not 2 <= n_max <= 9:
         raise ValueError("the regularity check supports 2 <= n <= 9")

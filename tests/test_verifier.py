@@ -4,7 +4,6 @@ and of connectivity), enumeration, and verification reports."""
 import itertools
 import json
 import math
-import random
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ import matchinv.matching
 import matchinv.verifier
 from matchinv import (
     InvariantTriple,
-    are_isomorphic,
     connected_graph_count,
     enumerate_connected,
     feasible_set,
@@ -110,17 +108,15 @@ def test_scan_agrees_with_solvers_exhaustive():
 
 
 def test_scan_agrees_with_solvers_sampled():
-    # every isomorphism class at n = 6, seeded labeled graphs at n = 7
-    six, seven = scan_invariants(6), scan_invariants(7)
-    reps = [i for i, _, _ in six.classes()]
-    assert len(reps) == 112
-    rng = random.Random(31)
-    for scan, indices in ((six, reps),
-                          (seven, [rng.randrange(seven.count) for _ in range(250)])):
-        for i in indices:
-            t = invariant_triple(scan.graph(i))
+    # one representative of every isomorphism class at n = 6 and 7
+    for n, want in ((6, 112), (7, 853)):
+        scan = scan_invariants(n)
+        classes = scan.classes()
+        assert len(classes) == want
+        assert sum(size for _, _, size in classes) == connected_graph_count(n)
+        for i, G, _ in classes:
             assert (int(scan.ind[i]), int(scan.minm[i]), int(scan.match[i])) \
-                == tuple(t)
+                == tuple(invariant_triple(G))
 
 
 def _relabeled_mask(G, perm):
@@ -130,7 +126,9 @@ def _relabeled_mask(G, perm):
 
 
 def test_scan_classes():
-    # connected unlabeled graphs on 2..6 vertices (OEIS A001349)
+    # connected unlabeled graphs on 2..6 vertices (OEIS A001349); each
+    # representative is the least mask over its relabelings, so distinct
+    # representatives are distinct classes
     for n, want in zip(range(2, 7), (1, 2, 6, 21, 112)):
         scan = scan_invariants(n)
         classes = scan.classes()
@@ -141,12 +139,7 @@ def test_scan_classes():
             images = [_relabeled_mask(G, perm) for perm in perms]
             automorphisms = images.count(int(scan.masks[i]))
             assert size == math.factorial(n) // automorphisms
-            if n <= 5:
-                assert int(scan.masks[i]) == min(images)
-        for (_, G, _), (_, H, _) in itertools.combinations(classes, 2):
-            assert not are_isomorphic(G, H)
-    with pytest.raises(ValueError):
-        scan_invariants(7).classes()
+            assert int(scan.masks[i]) == min(images)
 
 
 def test_realized_set_small():
@@ -204,6 +197,59 @@ def test_av_check():
         verify_av(3)
     with pytest.raises(ValueError):
         verify_av(8)
+
+
+def _skew_min(monkeypatch, n, masks, value):
+    """Scans built after this call read min match ``value`` at the given
+    n-vertex edge masks."""
+    real = matchinv.verifier._invariant_tables
+
+    def skewed(m):
+        tables = real(m)
+        if m == n:
+            tables[1][masks] = value
+        return tables
+
+    monkeypatch.setattr(matchinv.verifier, "_invariant_tables", skewed)
+    monkeypatch.setattr(matchinv.verifier, "_scan_cache", {})
+
+
+def test_av_catches_extremal_graph_of_another_shape(monkeypatch):
+    # min 3 on the 15 labeled K_6 - e, whose min match is 2: one record
+    # each, in ascending mask order (the missing pair descending)
+    table = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    full = (1 << 15) - 1
+    _skew_min(monkeypatch, 6, [full ^ 1 << k for k in range(15)], 3)
+    rep = verify_av(6)
+    assert not rep.passed
+    assert [rec.graph6 for rec in rep.failures] == [
+        graph6_encode(from_edge_list(6, table[:k] + table[k + 1:]))
+        for k in reversed(range(15))]
+    for rec in rep.failures:
+        assert graph6_decode(rec.graph6).edge_count == 14
+        assert rec.expected == \
+            "isomorphic to the complete or balanced bipartite graph"
+        assert rec.actual == "extremal graph with min match 3 of another shape"
+    assert rep.details == {"extremal_count": 11 + 15,
+                           "targets_found": {"complete": True,
+                                             "balanced_bipartite": True}}
+
+
+def test_av_catches_missing_target(monkeypatch):
+    # min 2 on the 10 labeled K_{3,3}: vertex 0 and two of 1..5 on one side
+    table = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    sides = [{0, *pair} for pair in itertools.combinations(range(1, 6), 2)]
+    _skew_min(monkeypatch, 6, [sum(1 << k for k, (i, j) in enumerate(table)
+                                   if (i in side) != (j in side))
+                               for side in sides], 2)
+    rep = verify_av(6)
+    assert [rec.to_json_dict() for rec in rep.failures] == [
+        {"graph6": None,
+         "expected": "balanced_bipartite graph attains min match 3",
+         "actual": "not found in scan"}]
+    assert rep.details == {"extremal_count": 1,
+                           "targets_found": {"complete": True,
+                                             "balanced_bipartite": False}}
 
 
 def test_lemma_suite_small():
