@@ -4,17 +4,19 @@ Three numbers per graph:
 
 * ``match_number``     -- maximum matching size (polynomial, blossom search)
 * ``min_match_number`` -- minimum maximal matching size (NP-hard, exact
-  branch and bound; a matching is maximal iff the uncovered vertices form
-  an independent set)
+  branch and bound over vertex masks; a matching is maximal iff the
+  uncovered vertices form an independent set)
 * ``ind_match_number`` -- maximum induced matching size (NP-hard, exact
   branch and bound over edge conflict masks)
 
 The branch-and-bound solvers are exact and exponential in the worst case.
-They are quick on random graphs up to about 18 vertices and on most
-family witnesses up to 64, but ``min_match_number`` takes over 3 s on
-some G2 and G3 witnesses from 20 vertices up, and over 20 s on random
-graphs near 30 vertices; measured figures are in the README, under
-"Limits and caveats".
+Both use reductions that keep the value: ``min_match_number`` the paper's
+twin-leaf and additivity lemmas, ``ind_match_number`` simplicial edges of
+the conflict graph.  On a 2-CPU host every witness of every feasible
+tuple at n = 24, 32, 48 and 64 is re-checked in at most 0.16 s, but
+``min_match_number`` can still take seconds on dense random graphs from
+about 19 vertices and tens of seconds near 30; measured figures are in the
+README, under "Limits and caveats".
 Certificate variants return the lexicographically first optimal matching
 under the fixed (u, v)-sorted edge order, so repeated runs are identical.
 One routine builds all three on top of the solvers above; it makes up to
@@ -241,37 +243,104 @@ def _clique_cover_bound(adj: tuple[int, ...], vmask: int) -> int:
     return (vmask.bit_count() - cliques + 1) // 2
 
 
+def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
+                 memo: dict[int, tuple[int, bool]]) -> tuple[int, bool]:
+    """Min maximal matching of G[mask] as (value, exact).
+
+    The value is exact when it is below ``limit``; otherwise it is a lower
+    bound of at least ``limit`` and ``exact`` may be False.  ``memo`` maps
+    a reduced mask to its best (value, exact) so far, for one solver call.
+    """
+    # isolated vertices leave the clique-cover bound as it is, so it may cut
+    # before the reduction does
+    cover = _clique_cover_bound(adj, mask)
+    if cover >= limit:
+        return cover, False
+    # isolated vertices need nothing, and of several leaves at one vertex
+    # one is enough (twin-leaf lemma); a leaf's neighbour must be covered
+    keep = forced = 0
+    rem = mask
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        nb = adj[low.bit_length() - 1] & mask
+        if nb & (nb - 1):
+            keep |= low
+        elif nb and not nb & forced:
+            forced |= nb
+            keep |= low
+    mask = keep
+    if not mask:
+        return 0, True
+    lo = max(cover, (forced.bit_count() + 1) // 2)
+    if lo >= limit:
+        return lo, False
+    hit = memo.get(mask)
+    if hit is not None and (hit[1] or hit[0] >= limit):
+        return hit
+    # components add up (additivity lemma)
+    comp = frontier = mask & -mask
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier ^= 1 << v
+        new = adj[v] & mask & ~comp
+        comp |= new
+        frontier |= new
+    if comp != mask:
+        rest = mask & ~comp
+        rest_lo = max(_clique_cover_bound(adj, rest),
+                      ((forced & rest).bit_count() + 1) // 2)
+        first, exact = _min_maximal(adj, comp, limit - rest_lo, memo)
+        if exact:
+            second, exact = _min_maximal(adj, rest, limit - first, memo)
+            result = (first + second, exact)
+        else:
+            result = (first + rest_lo, False)
+    else:
+        # a maximal matching covers a forced vertex, and dominates the
+        # lowest edge {u, v} by some edge meeting u or v
+        if forced:
+            w = min(_bits(forced), key=lambda x: (adj[x] & mask).bit_count())
+            branches = ((w, adj[w] & mask),)
+        else:
+            u = (mask & -mask).bit_length() - 1
+            nb = adj[u] & mask
+            v = (nb & -nb).bit_length() - 1
+            branches = ((u, nb), (v, adj[v] & mask & ~(1 << u)))
+        children = []
+        for a, partners in branches:
+            left = mask & ~(1 << a)
+            seen = set()
+            for b in _bits(partners):
+                # true or false twins in G[mask] - a leave isomorphic graphs
+                open_nb = adj[b] & left
+                if open_nb not in seen and (open_nb | 1 << b) not in seen:
+                    seen.update((open_nb, open_nb | 1 << b))
+                    children.append(left & ~(1 << b))
+        best = limit
+        for child in children:
+            value, exact = _min_maximal(adj, child, best - 1, memo)
+            if exact and value + 1 < best:
+                best = value + 1
+                if best == lo:
+                    break
+        result = (best, best < limit)
+    memo[mask] = result
+    return result
+
+
 def min_match_number(G: Graph) -> int:
-    """Size of a minimum maximal matching (exact)."""
-    adj = G.adj
-    best = _greedy_maximal_size(adj, G.vertex_mask)
+    """Size of a minimum maximal matching (exact).
 
-    def search(vmask: int, size: int) -> None:
-        nonlocal best
-        if size + _clique_cover_bound(adj, vmask) >= best:
-            return
-        # lowest edge of the induced subgraph, in (u, v) lexicographic order
-        u = -1
-        rem = vmask
-        while rem:
-            cand = (rem & -rem).bit_length() - 1
-            if adj[cand] & vmask:
-                u = cand
-                break
-            rem ^= 1 << cand
-        if u == -1:
-            best = size  # no edges left: the peeled set is maximal
-            return
-        nb = adj[u] & vmask
-        v = (nb & -nb).bit_length() - 1
-        # the edge {u, v} must be dominated by some edge meeting u or v;
-        # peeling that edge's conflicts leaves exactly an induced subgraph
-        for a, bmask in ((u, nb), (v, adj[v] & vmask & ~(1 << u))):
-            for b in _bits(bmask):
-                search(vmask & ~((1 << a) | (1 << b)), size + 1)
-
-    search(G.vertex_mask, 0)
-    return best
+    Branch and bound over vertex masks with the first-fit matching's size as
+    the first limit.  Each node drops isolated vertices and all but one leaf
+    at a vertex (the paper's twin-leaf lemma), splits into components whose
+    values add up (its additivity lemma), and branches on the edges at a
+    vertex some maximal matching must cover, skipping twin partners.
+    """
+    greedy = _greedy_maximal_size(G.adj, G.vertex_mask)
+    value, exact = _min_maximal(G.adj, G.vertex_mask, greedy, {})
+    return value if exact else greedy
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +370,12 @@ def _edge_conflicts(G: Graph) -> tuple[list[tuple[int, int]], list[int]]:
 
 
 def _max_independent_edges(conflicts: list[int], cand: int) -> int:
-    """Max independent set size in the edge conflict structure, from cand."""
+    """Max independent set size in the edge conflict structure, from cand.
+
+    Simplicial edges are taken first; the conflict graph of G is the square
+    of its line graph, which is chordal when G is (Cameron 1989), so for a
+    chordal G, such as every family witness, no branching is left.
+    """
     best = 0
 
     def search(cand: int, size: int) -> None:
@@ -319,12 +393,35 @@ def _max_independent_edges(conflicts: list[int], cand: int) -> int:
             if size + 1 + child.bit_count() > best:
                 search(child, size + 1)
 
-    search(cand, 0)
+    # an edge whose remaining conflicts form a clique is simplicial, and some
+    # maximum independent set holds it; at the root, take every such edge
+    size = 0
+    rem = cand
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        e = low.bit_length() - 1
+        others = cand & conflicts[e] & ~low
+        clique = True
+        while others and clique:
+            f = others & -others
+            others ^= f
+            clique = not others & ~conflicts[f.bit_length() - 1]
+        if clique:
+            size += 1
+            cand &= ~conflicts[e]
+            rem = cand
+    search(cand, size)
     return best
 
 
 def ind_match_number(G: Graph) -> int:
-    """Size of a maximum induced matching (exact)."""
+    """Size of a maximum induced matching (exact).
+
+    Maximum independent set of the edge conflict graph, by branch and bound
+    after taking simplicial edges (the simplicial case of the domination rule
+    of Akiba and Iwata, Theor. Comput. Sci. 2016).
+    """
     edges, conflicts = _edge_conflicts(G)
     if not edges:
         return 0

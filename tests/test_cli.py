@@ -131,6 +131,15 @@ def test_witness_feasible(capsys):
     assert row["verified"] == {"ind": 2, "min": 3, "match": 4}
 
 
+def test_witness_at_the_vertex_cap(capsys):
+    code, out, _ = run_cli(capsys, ["witness", "-p", "8", "-q", "21",
+                                    "-r", "23", "-n", "64"])
+    assert code == 0
+    row = json_lines(out)[0]
+    assert row["verified"] == {"ind": 8, "min": 21, "match": 23}
+    assert graph6_decode(row["graph6"]).n == 64
+
+
 def test_witness_infeasible(capsys):
     code, out, _ = run_cli(capsys, ["witness", "-p", "2", "-q", "2",
                                     "-r", "2", "-n", "4"])

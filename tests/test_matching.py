@@ -24,6 +24,7 @@ from matchinv import (
     min_match_number,
     min_maximal_matching,
     path_graph,
+    regularity,
     star_graph,
 )
 
@@ -174,6 +175,119 @@ def test_component_additivity_spot():
     assert tu == (ta.ind_match + tb.ind_match,
                   ta.min_match + tb.min_match,
                   ta.match + tb.match)
+
+
+def assert_solvers_match_oracle(G):
+    assert min_match_number(G) == oracles.min_match_number(G)
+    assert ind_match_number(G) == oracles.ind_match_number(G)
+
+
+def test_memo_keeps_only_improving_exact_values():
+    # an exact memo hit that does not beat the incumbent must not replace it
+    G = from_edge_list(8, [(0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (4, 5),
+                           (2, 6), (1, 7), (5, 7)])
+    assert min_match_number(G) == oracles.min_match_number(G) == 3
+    # a memo bound below the limit is not a value
+    G = from_edge_list(12, [(0, 10), (2, 7), (4, 9), (6, 8), (7, 8), (8, 11),
+                            (9, 11), (10, 11)])
+    assert min_match_number(G) == oracles.min_match_number(G) == 3
+
+
+def test_component_limit_uses_the_other_parts_own_bound():
+    # P4 plus an edge: only the P4's forced vertices bound the P4
+    G = from_edge_list(6, [(0, 2), (0, 3), (1, 4), (3, 5)])
+    assert min_match_number(G) == oracles.min_match_number(G) == 2
+
+
+def spider(legs):
+    """A centre 0 with one path per entry of legs, of that many edges."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return from_edge_list(n, edges)
+
+
+def with_leaves(G, at, count):
+    """G plus count new leaves at vertex at."""
+    return from_edge_list(G.n + count, G.edges() + [(at, G.n + i) for i in range(count)])
+
+
+def test_twin_leaves():
+    for k in range(1, 9):
+        assert invariant_triple(star_graph(k)) == (1, 1, 1)
+    graphs = [spider(legs) for legs in
+              ((1, 1, 1), (1, 1, 2), (2, 2, 1, 1), (1, 1, 3), (2, 2, 2, 1, 1, 1))]
+    graphs += [with_leaves(path_graph(4), 1, 3),
+               with_leaves(with_leaves(path_graph(5), 1, 2), 3, 2),
+               with_leaves(spider((2, 2)), 1, 2),
+               with_leaves(cycle_graph(5), 0, 3)]
+    for G in graphs:
+        assert_solvers_match_oracle(G)
+
+
+def test_component_splits():
+    parts = [path_graph(3), cycle_graph(5), complete_graph(4), star_graph(3),
+             path_graph(2), spider((2, 1, 1))]
+    rng = random.Random(11)
+    for _ in range(12):
+        chosen = rng.sample(parts, rng.randint(3, 4))
+        U = chosen[0]
+        for H in chosen[1:]:
+            U = disjoint_union(U, H)
+        expect = [sum(invariant_triple(H)[i] for H in chosen) for i in range(3)]
+        assert tuple(invariant_triple(U)) == tuple(expect)
+        if U.edge_count <= 16:
+            assert_solvers_match_oracle(U)
+
+
+def complete_multipartite(sizes):
+    starts = list(itertools.accumulate(sizes, initial=0))
+    n = starts[-1]
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    return from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                              if part[u] != part[v]])
+
+
+def test_twin_partners():
+    for a in range(1, 5):
+        for b in range(a, 6):
+            G = complete_bipartite_graph(a, b)
+            assert invariant_triple(G) == (1, a, a)
+            if G.edge_count <= 16:
+                assert_solvers_match_oracle(G)
+    for sizes in ((1, 1, 1, 1), (1, 2, 3), (2, 2, 2), (1, 1, 4), (2, 2, 3),
+                  (1, 1, 1, 3)):
+        assert_solvers_match_oracle(complete_multipartite(sizes))
+
+
+def random_chordal(rng, n):
+    """Each new vertex joins a clique around a random earlier vertex."""
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        clique = [u]
+        for w in rng.sample(sorted(adj[u]), len(adj[u])):
+            if rng.random() < 0.6 and all(w in adj[x] for x in clique):
+                clique.append(w)
+        for x in clique:
+            adj[v].add(x)
+            adj[x].add(v)
+    return from_edge_list(n, [(u, v) for v in range(n) for u in adj[v] if u < v])
+
+
+def test_simplicial_edges_on_chordal_graphs():
+    rng = random.Random(12)
+    for _ in range(60):
+        G = random_chordal(rng, rng.randint(4, 10))
+        assert oracles.chordal(G)
+        ind = ind_match_number(G)
+        assert ind == regularity(G).reg
+        if G.edge_count <= 14:
+            assert ind == oracles.ind_match_number(G)
+            assert min_match_number(G) == oracles.min_match_number(G)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ from matchinv import (
     is_chordal,
     is_connected,
     is_feasible,
+    is_maximal_matching,
+    min_match_number,
+    min_maximal_matching,
     synthesize_witness,
     witness_spec,
 )
@@ -140,6 +143,25 @@ def test_synthesize_witness_all_small():
             assert tuple(rep.verified) == tup
             assert is_connected(rep.graph)
             assert invariant_triple(rep.graph) == tup
+
+
+def test_every_witness_rechecks_at_24_and_32():
+    # synthesize_witness raises unless the exact solvers reproduce the tuple
+    count = 0
+    for n in (24, 32):
+        for tup in sorted(feasible_set(n)):
+            rep = synthesize_witness(TupleQuery(*tup, n))
+            assert rep.graph.n == n and tuple(rep.verified) == tup
+            count += 1
+    assert count == 283 + 633
+
+
+def test_min_maximal_certificate_on_witnesses():
+    for tup in ((1, 6, 12), (3, 8, 9), (5, 9, 12), (2, 10, 11), (4, 11, 11)):
+        G = synthesize_witness(TupleQuery(*tup, 24)).graph
+        M = min_maximal_matching(G)
+        assert is_maximal_matching(G, M)
+        assert M.size == min_match_number(G) == tup[1]
 
 
 def test_report_json_deterministic():
