@@ -244,11 +244,10 @@ def test_component_splits():
 
 
 def complete_multipartite(sizes):
-    starts = list(itertools.accumulate(sizes, initial=0))
-    n = starts[-1]
     part = [i for i, s in enumerate(sizes) for _ in range(s)]
-    return from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
-                              if part[u] != part[v]])
+    return from_edge_list(len(part), [(u, v) for u, v in
+                                      itertools.combinations(range(len(part)), 2)
+                                      if part[u] != part[v]])
 
 
 def test_twin_partners():
