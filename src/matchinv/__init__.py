@@ -10,8 +10,8 @@ from .graph import (Graph, complement, complete_bipartite_graph, complete_graph,
                     connected_components, delete_vertex, disjoint_union,
                     from_edge_list, graph6_decode, graph6_encode,
                     induced_subgraph, is_chordal, is_connected,
-                    is_independent_set, path_graph, s_suspension, standard_graph,
-                    star_graph, to_dot)
+                    is_independent_set, path_graph, s_suspension, star_graph,
+                    to_dot)
 from .matching import (InvariantTriple, Matching, ind_match_number,
                        invariant_triple, is_induced_matching, is_matching,
                        is_maximal_matching, match_number, max_induced_matching,
@@ -23,8 +23,8 @@ from .realizability import (REASONS, TupleQuery, WitnessReport, feasible_set,
                             is_feasible, synthesize_witness, witness_spec)
 from .regularity import RegularityResult, reduced_homology_ranks, regularity
 from .verifier import (ScanResult, VerificationReport, connected_graph_count,
-                       enumerate_connected, realized_set, scan_invariants,
-                       verify_av, verify_first_main_sampled, verify_lemma_suite,
+                       enumerate_connected, scan_invariants, verify_av,
+                       verify_first_main_sampled, verify_lemma_suite,
                        verify_theorem_first_main, verify_theorem_second_main)
 
 __version__ = "0.1.0"

@@ -47,9 +47,6 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family != "G2" and (self.d or self.e):
             raise ValueError(f"{self.family} takes only parameters a, b, c")
-        self.validate()
-
-    def validate(self) -> None:
         a, b, c, d, e = self.a, self.b, self.c, self.d, self.e
         if self.family == "G1":
             if a < 1:
@@ -76,7 +73,7 @@ class FamilySpec:
                 raise ValueError("G3 needs c >= 1")
         if self.vertex_count() > MAX_VERTICES:
             raise ValueError(
-                f"{self.to_text()} would have {self.vertex_count()} vertices, "
+                f"{self} would have {self.vertex_count()} vertices, "
                 f"more than {MAX_VERTICES}")
 
     def vertex_count(self) -> int:
@@ -92,11 +89,8 @@ class FamilySpec:
             return (self.a, self.b, self.c, self.d, self.e)
         return (self.a, self.b, self.c)
 
-    def to_text(self) -> str:
-        return f"{self.family}({','.join(map(str, self.params()))})"
-
     def __str__(self) -> str:
-        return self.to_text()
+        return f"{self.family}({','.join(map(str, self.params()))})"
 
 
 _SPEC_RE = re.compile(r"^(G[123])\((-?\d+(?:,-?\d+)*)\)$")

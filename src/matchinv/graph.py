@@ -76,9 +76,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         out = []
@@ -140,22 +137,6 @@ def star_graph(leaves: int) -> Graph:
     if leaves < 1:
         raise ValueError("star needs at least 1 leaf")
     return from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def standard_graph(kind: str, *params: int) -> Graph:
-    """Dispatch for the stock constructions used in tests and scripts."""
-    builders = {
-        "complete": (complete_graph, 1),
-        "complete_bipartite": (complete_bipartite_graph, 2),
-        "path": (path_graph, 1),
-        "star": (star_graph, 1),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown standard graph kind {kind!r}")
-    fn, arity = builders[kind]
-    if len(params) != arity:
-        raise ValueError(f"{kind} takes {arity} parameter(s), got {len(params)}")
-    return fn(*params)
 
 
 def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
@@ -329,9 +310,9 @@ def graph6_decode(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def to_dot(G: Graph, name: str = "G") -> str:
+def to_dot(G: Graph) -> str:
     """GraphViz text; vertex labels include block tags when present."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(G.n):
         if G.labels is not None:
             lines.append(f'  {v} [label="{G.labels[v]}"];')

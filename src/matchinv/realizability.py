@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .families import FamilySpec, build_family, predict_invariants
-from .graph import Graph, graph6_encode
+from .graph import MAX_VERTICES, Graph, graph6_encode
 from .matching import InvariantTriple, invariant_triple
 
 # Closed set of infeasibility reasons, in first-violated-constraint order.
@@ -76,8 +76,13 @@ def is_feasible(query: TupleQuery) -> tuple[bool, str | None]:
 
 
 def feasible_set(n: int) -> set[tuple[int, int, int]]:
-    """All feasible (p, q, r) for the given vertex count."""
+    """All feasible (p, q, r) for the given vertex count (2 <= n <= 64).
+
+    The set grows as about n^3 / 48, so it stops at the graph cap.
+    """
     _check_n(n)
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     out = set()
     half = n // 2
     for q in range(1, half + 1):
@@ -156,12 +161,12 @@ def synthesize_witness(query: TupleQuery) -> WitnessReport:
     size, predicted = predict_invariants(spec)
     if size != query.n:
         raise RuntimeError(
-            f"internal error: {spec.to_text()} has {size} vertices, wanted {query.n}")
+            f"internal error: {spec} has {size} vertices, wanted {query.n}")
     graph = build_family(spec)
     verified = invariant_triple(graph)
     if verified != (query.p, query.q, query.r) or verified != predicted:
         raise RuntimeError(
-            f"internal error: witness {spec.to_text()} for {tuple(query)} "
+            f"internal error: witness {spec} for {tuple(query)} "
             f"measured {tuple(verified)}")
     return WitnessReport(query=query, feasible=True, spec=spec,
                          graph=graph, verified=verified)

@@ -23,7 +23,10 @@ entries, and only its two seeded samples call the per-graph solvers,
 against the tables.
 
 The tables are filled in the calling process, the invariant tables in
-blocks of at most ``_CHUNK`` masks.
+blocks of at most ``_CHUNK`` masks.  ``scan_invariants`` is a pure
+function: each call fills its tables afresh, and the module keeps no
+state between calls.  A caller that needs one scan twice holds the
+``ScanResult``.
 """
 
 from __future__ import annotations
@@ -192,25 +195,17 @@ class ScanResult:
                 for k in np.unique(key).tolist()}
 
 
-_scan_cache: dict[int, ScanResult] = {}
-
-
 def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult:
     """Exhaustive invariant scan over connected labeled graphs (2 <= n <= 7).
 
-    ``jobs`` is accepted and changes nothing: the scan runs in the
-    calling process.
+    Each call fills the tables afresh; nothing is kept between calls.
+    ``jobs`` and ``use_cache`` are accepted and change nothing.
     """
     if not 2 <= n <= _SCAN_CAP:
         raise ValueError(f"exhaustive scan supports 2 <= n <= {_SCAN_CAP}")
-    if use_cache and n in _scan_cache:
-        return _scan_cache[n]
     ind, minm, match, connected = _invariant_tables(n)[:4]  # nbr freed here
     masks = np.flatnonzero(connected)
-    result = ScanResult(n, masks, ind[masks], minm[masks], match[masks])
-    if use_cache:
-        _scan_cache[n] = result
-    return result
+    return ScanResult(n, masks, ind[masks], minm[masks], match[masks])
 
 
 def enumerate_connected(n: int):
@@ -218,11 +213,6 @@ def enumerate_connected(n: int):
     edge bitmask."""
     scan = scan_invariants(n)
     yield from (scan.graph(i) for i in range(scan.count))
-
-
-def realized_set(n: int) -> set[tuple[int, int, int]]:
-    """All (ind, min, match) triples of connected n-vertex graphs."""
-    return scan_invariants(n).triples()
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +407,8 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
     """
     if not 2 <= n_max <= _SCAN_CAP:
         raise ValueError(f"the lemma suite supports 2 <= n <= {_SCAN_CAP}")
+    if samples < 0:
+        raise ValueError("the lemma suite needs samples >= 0")
     t0 = time.perf_counter()
     failures: list[FailureRecord] = []
     examined = 2 * samples

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import matchinv.verifier
 from matchinv import graph6_decode, invariant_triple
 from matchinv.cli import main
 
@@ -183,6 +182,8 @@ def test_feasible_pretty(capsys):
 def test_feasible_bad_n(capsys):
     code, out, err = run_cli(capsys, ["feasible", "-n", "1"])
     assert code == 2 and err.startswith("error:")
+    code, out, err = run_cli(capsys, ["feasible", "-n", "65"])  # above the cap
+    assert code == 2 and out == "" and err == "error: vertex count 65 exceeds 64\n"
 
 
 def test_verify_first_main(capsys):
@@ -195,10 +196,9 @@ def test_verify_first_main(capsys):
     assert all("elapsed" not in row for row in rows)
 
 
-def test_verify_jobs_changes_nothing(capsys, monkeypatch):
+def test_verify_jobs_changes_nothing(capsys):
     outs = []
     for jobs in ("1", "2"):
-        monkeypatch.setattr(matchinv.verifier, "_scan_cache", {})  # scan again
         code, out, _ = run_cli(capsys, ["verify", "--check", "first-main",
                                         "--n-max", "6", "--jobs", jobs])
         assert code == 0

@@ -63,6 +63,12 @@ def test_n_below_two_raises():
         feasible_set(0)
 
 
+def test_feasible_set_stops_at_the_vertex_cap():
+    assert len(feasible_set(64)) == 4593
+    with pytest.raises(ValueError, match="exceeds 64"):
+        feasible_set(65)
+
+
 def test_feasible_set_frozen():
     assert feasible_set(2) == {(1, 1, 1)}
     assert feasible_set(3) == {(1, 1, 1)}

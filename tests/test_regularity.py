@@ -11,6 +11,7 @@ from matchinv import (
     complete_graph,
     disjoint_union,
     from_edge_list,
+    graph6_encode,
     ind_match_number,
     invariant_triple,
     is_chordal,
@@ -19,6 +20,7 @@ from matchinv import (
     path_graph,
     reduced_homology_ranks,
     regularity,
+    scan_invariants,
     star_graph,
     synthesize_witness,
 )
@@ -186,11 +188,12 @@ def test_regularity_witness_matches_rational_scan():
 
 
 def test_regularity_matches_rational_oracle():
-    rng = random.Random(23)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        G = oracles.random_graph(rng, n)
-        assert regularity(G).reg == oracles.q_regularity(G)
+    # one graph per isomorphism class of connected graphs on 2..6
+    # vertices, the classes that second-main checks exhaustively
+    graphs = [G for n in range(2, 7) for _, G, _ in scan_invariants(n).classes()]
+    assert len(graphs) == 1 + 2 + 6 + 21 + 112
+    for G in graphs:
+        assert regularity(G).reg == oracles.q_regularity(G), graph6_encode(G)
 
 
 def test_regularity_sandwich_and_chordal_equality():

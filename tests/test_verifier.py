@@ -20,7 +20,6 @@ from matchinv import (
     graph6_decode,
     graph6_encode,
     invariant_triple,
-    realized_set,
     scan_invariants,
     star_graph,
     verify_av,
@@ -89,7 +88,6 @@ def test_scan_counts_and_cache():
     assert scan.count == 728
     assert scan.masks.shape == scan.ind.shape == scan.minm.shape \
         == scan.match.shape
-    assert scan_invariants(5) is scan  # cached
     fresh = scan_invariants(5, use_cache=False)
     assert fresh is not scan
     assert np.array_equal(fresh.masks, scan.masks)
@@ -143,11 +141,11 @@ def test_scan_classes():
 
 
 def test_realized_set_small():
-    assert realized_set(2) == {(1, 1, 1)}
-    assert realized_set(3) == {(1, 1, 1)}
-    assert realized_set(4) == {(1, 1, 1), (1, 1, 2), (1, 2, 2)}
+    assert scan_invariants(2).triples() == {(1, 1, 1)}
+    assert scan_invariants(3).triples() == {(1, 1, 1)}
+    assert scan_invariants(4).triples() == {(1, 1, 1), (1, 1, 2), (1, 2, 2)}
     for n in range(2, 7):
-        assert realized_set(n) == feasible_set(n)
+        assert scan_invariants(n).triples() == feasible_set(n)
 
 
 def test_report_serialization():
@@ -200,7 +198,7 @@ def test_av_check():
 
 
 def _skew_min(monkeypatch, n, masks, value):
-    """Scans built after this call read min match ``value`` at the given
+    """Scans made after this call read min match ``value`` at the given
     n-vertex edge masks."""
     real = matchinv.verifier._invariant_tables
 
@@ -211,7 +209,6 @@ def _skew_min(monkeypatch, n, masks, value):
         return tables
 
     monkeypatch.setattr(matchinv.verifier, "_invariant_tables", skewed)
-    monkeypatch.setattr(matchinv.verifier, "_scan_cache", {})
 
 
 def test_av_catches_extremal_graph_of_another_shape(monkeypatch):
@@ -266,6 +263,9 @@ def test_lemma_suite_small():
         verify_lemma_suite(1)
     with pytest.raises(ValueError):
         verify_lemma_suite(8)
+    with pytest.raises(ValueError, match="samples >= 0"):
+        verify_lemma_suite(3, samples=-5)
+    assert verify_lemma_suite(3, samples=0).examined == 2 * (1 + 4)
 
 
 def test_lemma_suite_catches_broken_solver(monkeypatch):
