@@ -163,8 +163,6 @@ def delete_vertex(G: Graph, v: int) -> Graph:
 def disjoint_union(G: Graph, H: Graph) -> Graph:
     """Disjoint union, H relabeled to start at G.n."""
     n = G.n + H.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     rows = list(G.adj) + [row << G.n for row in H.adj]
     lab = None
     if G.labels is not None and H.labels is not None:
@@ -180,8 +178,6 @@ def s_suspension(G: Graph, independent_vertices: Iterable[int]) -> Graph:
     smask = _mask_of(independent_vertices, G.n)
     if not is_independent_set(G, _bits(smask)):
         raise ValueError("suspension set must be independent")
-    if G.n + 1 > MAX_VERTICES:
-        raise ValueError(f"vertex count {G.n + 1} exceeds {MAX_VERTICES}")
     wrow = G.vertex_mask & ~smask
     rows = [G.adj[v] | ((wrow >> v & 1) << G.n) for v in range(G.n)]
     rows.append(wrow)

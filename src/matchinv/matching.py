@@ -10,9 +10,13 @@ Three numbers per graph:
   branch and bound over edge conflict masks)
 
 The branch-and-bound solvers are exact and exponential in the worst case.
-Both use reductions that keep the value: ``min_match_number`` the paper's
-twin-leaf and additivity lemmas, ``ind_match_number`` simplicial edges of
-the conflict graph.  On a 2-CPU host every witness of every feasible
+Each is one recursive function that takes a candidate mask and a bound and
+returns one number: ``_min_maximal`` the exact value when it is below the
+bound and a lower bound of at least the bound otherwise, and
+``_independent_above`` the larger of the bound and the exact value.
+Both solvers use reductions that keep the value: ``min_match_number`` the
+paper's twin-leaf and additivity lemmas, ``ind_match_number`` simplicial
+edges of the conflict graph.  On a 2-CPU host every witness of every feasible
 tuple at n = 24, 32, 48 and 64 is re-checked in at most 0.16 s, but
 ``min_match_number`` can still take seconds on dense random graphs from
 about 19 vertices and tens of seconds near 30; measured figures are in the
@@ -63,15 +67,10 @@ def _normalize_edges(G: Graph, M: Iterable[tuple[int, int]] | Matching) -> list[
         pairs = list(M.edges)
     else:
         pairs = [tuple(sorted(e)) for e in M]
-    seen = set()
-    out = []
     for u, v in pairs:
         if not G.has_edge(u, v):
             raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
-        if (u, v) not in seen:
-            seen.add((u, v))
-            out.append((u, v))
-    return sorted(out)
+    return sorted(set(pairs))
 
 
 def is_matching(G: Graph, M: Iterable[tuple[int, int]] | Matching) -> bool:
@@ -244,18 +243,18 @@ def _clique_cover_bound(adj: tuple[int, ...], vmask: int) -> int:
 
 
 def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
-                 memo: dict[int, tuple[int, bool]]) -> tuple[int, bool]:
-    """Min maximal matching of G[mask] as (value, exact).
+                 memo: dict[int, tuple[int, bool]]) -> int:
+    """Min maximal matching of G[mask] when below ``limit``.
 
-    The value is exact when it is below ``limit``; otherwise it is a lower
-    bound of at least ``limit`` and ``exact`` may be False.  ``memo`` maps
-    a reduced mask to its best (value, exact) so far, for one solver call.
+    Otherwise the result is a lower bound of at least ``limit``.  ``memo``
+    maps a reduced mask to its best result so far and whether that result
+    was below its limit, hence exact, for one solver call.
     """
     # isolated vertices leave the clique-cover bound as it is, so it may cut
     # before the reduction does
     cover = _clique_cover_bound(adj, mask)
     if cover >= limit:
-        return cover, False
+        return cover
     # isolated vertices need nothing, and of several leaves at one vertex
     # one is enough (twin-leaf lemma); a leaf's neighbour must be covered
     keep = forced = 0
@@ -271,13 +270,13 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
             keep |= low
     mask = keep
     if not mask:
-        return 0, True
+        return 0
     lo = max(cover, (forced.bit_count() + 1) // 2)
     if lo >= limit:
-        return lo, False
+        return lo
     hit = memo.get(mask)
     if hit is not None and (hit[1] or hit[0] >= limit):
-        return hit
+        return hit[0]
     # components add up (additivity lemma)
     comp = frontier = mask & -mask
     while frontier:
@@ -290,43 +289,44 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
         rest = mask & ~comp
         rest_lo = max(_clique_cover_bound(adj, rest),
                       ((forced & rest).bit_count() + 1) // 2)
-        first, exact = _min_maximal(adj, comp, limit - rest_lo, memo)
-        if exact:
-            second, exact = _min_maximal(adj, rest, limit - first, memo)
-            result = (first + second, exact)
+        value = _min_maximal(adj, comp, limit - rest_lo, memo)
+        if value < limit - rest_lo:
+            value += _min_maximal(adj, rest, limit - value, memo)
         else:
-            result = (first + rest_lo, False)
+            value += rest_lo
     else:
         # a maximal matching covers a forced vertex, and dominates the
         # lowest edge {u, v} by some edge meeting u or v
         if forced:
-            w = min(_bits(forced), key=lambda x: (adj[x] & mask).bit_count())
+            w, least = -1, mask.bit_count()
+            for x in _bits(forced):
+                degree = (adj[x] & mask).bit_count()
+                if degree < least:
+                    w, least = x, degree
             branches = ((w, adj[w] & mask),)
         else:
             u = (mask & -mask).bit_length() - 1
             nb = adj[u] & mask
             v = (nb & -nb).bit_length() - 1
             branches = ((u, nb), (v, adj[v] & mask & ~(1 << u)))
-        children = []
+        value = limit
         for a, partners in branches:
             left = mask & ~(1 << a)
             seen = set()
             for b in _bits(partners):
                 # true or false twins in G[mask] - a leave isomorphic graphs
                 open_nb = adj[b] & left
-                if open_nb not in seen and (open_nb | 1 << b) not in seen:
-                    seen.update((open_nb, open_nb | 1 << b))
-                    children.append(left & ~(1 << b))
-        best = limit
-        for child in children:
-            value, exact = _min_maximal(adj, child, best - 1, memo)
-            if exact and value + 1 < best:
-                best = value + 1
-                if best == lo:
-                    break
-        result = (best, best < limit)
-    memo[mask] = result
-    return result
+                if open_nb in seen or open_nb | 1 << b in seen:
+                    continue
+                seen.update((open_nb, open_nb | 1 << b))
+                found = 1 + _min_maximal(adj, left & ~(1 << b), value - 1, memo)
+                if found < value:
+                    value = found
+                    if value == lo:
+                        memo[mask] = (lo, True)
+                        return lo
+    memo[mask] = (value, value < limit)
+    return value
 
 
 def min_match_number(G: Graph) -> int:
@@ -339,16 +339,15 @@ def min_match_number(G: Graph) -> int:
     vertex some maximal matching must cover, skipping twin partners.
     """
     greedy = _greedy_maximal_size(G.adj, G.vertex_mask)
-    value, exact = _min_maximal(G.adj, G.vertex_mask, greedy, {})
-    return value if exact else greedy
+    return min(greedy, _min_maximal(G.adj, G.vertex_mask, greedy, {}))
 
 
 # ---------------------------------------------------------------------------
 # maximum induced matching
 # ---------------------------------------------------------------------------
 
-def _edge_conflicts(G: Graph) -> tuple[list[tuple[int, int]], list[int]]:
-    """Edges in fixed order plus, per edge, the mask of incompatible edges.
+def _edge_conflicts(G: Graph) -> list[int]:
+    """Per edge of ``G.edges()``, the mask of incompatible edges.
 
     Two edges are incompatible for an induced matching when they share a
     vertex or some edge of G joins their endpoints.  Each conflict mask
@@ -366,37 +365,40 @@ def _edge_conflicts(G: Graph) -> tuple[list[tuple[int, int]], list[int]]:
         for x in _bits(G.adj[a] | G.adj[b]):
             mask |= incident[x]
         conflicts.append(mask)
-    return edges, conflicts
+    return conflicts
 
 
-def _max_independent_edges(conflicts: list[int], cand: int) -> int:
-    """Max independent set size in the edge conflict structure, from cand.
+def _independent_above(conflicts: list[int], cand: int, floor: int) -> int:
+    """The larger of ``floor`` and the most pairwise compatible edges in cand.
 
-    Simplicial edges are taken first; the conflict graph of G is the square
-    of its line graph, which is chordal when G is (Cameron 1989), so for a
-    chordal G, such as every family witness, no branching is left.
+    Branches on the lowest candidate edge: take it, or leave it out.
     """
-    best = 0
-
-    def search(cand: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        rem = cand
-        while rem:
-            if size + rem.bit_count() <= best:
-                return
-            low = rem & -rem
-            e = low.bit_length() - 1
-            rem ^= low
-            child = cand & ~conflicts[e] & ~(low | (low - 1))
-            if size + 1 + child.bit_count() > best:
-                search(child, size + 1)
-
-    # an edge whose remaining conflicts form a clique is simplicial, and some
-    # maximum independent set holds it; at the root, take every such edge
-    size = 0
+    best = max(floor, 0)
     rem = cand
+    while rem.bit_count() > best:
+        low = rem & -rem
+        rem ^= low
+        child = cand & ~conflicts[low.bit_length() - 1] & ~(low | (low - 1))
+        if 1 + child.bit_count() > best:
+            best = 1 + _independent_above(conflicts, child, best - 1)
+    return best
+
+
+def ind_match_number(G: Graph) -> int:
+    """Size of a maximum induced matching (exact).
+
+    Maximum independent set of the edge conflict graph, by branch and bound
+    after taking simplicial edges (the simplicial case of the domination rule
+    of Akiba and Iwata, Theor. Comput. Sci. 2016).  The conflict graph of G
+    is the square of its line graph, which is chordal when G is (Cameron
+    1989), so for a chordal G, such as every family witness, no branching is
+    left.
+    """
+    conflicts = _edge_conflicts(G)
+    # an edge whose remaining conflicts form a clique is simplicial, and some
+    # maximum independent set holds it; take every such edge
+    size = 0
+    cand = rem = (1 << len(conflicts)) - 1
     while rem:
         low = rem & -rem
         rem ^= low
@@ -411,21 +413,7 @@ def _max_independent_edges(conflicts: list[int], cand: int) -> int:
             size += 1
             cand &= ~conflicts[e]
             rem = cand
-    search(cand, size)
-    return best
-
-
-def ind_match_number(G: Graph) -> int:
-    """Size of a maximum induced matching (exact).
-
-    Maximum independent set of the edge conflict graph, by branch and bound
-    after taking simplicial edges (the simplicial case of the domination rule
-    of Akiba and Iwata, Theor. Comput. Sci. 2016).
-    """
-    edges, conflicts = _edge_conflicts(G)
-    if not edges:
-        return 0
-    return _max_independent_edges(conflicts, (1 << len(edges)) - 1)
+    return size + _independent_above(conflicts, cand, 0)
 
 
 def invariant_triple(G: Graph) -> InvariantTriple:

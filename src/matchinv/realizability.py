@@ -54,6 +54,8 @@ class TupleQuery(NamedTuple):
 def _check_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"vertex count must be at least 2, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
 
 
 def is_feasible(query: TupleQuery) -> tuple[bool, str | None]:
@@ -81,8 +83,6 @@ def feasible_set(n: int) -> set[tuple[int, int, int]]:
     The set grows as about n^3 / 48, so it stops at the graph cap.
     """
     _check_n(n)
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     out = set()
     half = n // 2
     for q in range(1, half + 1):

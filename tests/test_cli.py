@@ -139,6 +139,15 @@ def test_witness_at_the_vertex_cap(capsys):
     assert graph6_decode(row["graph6"]).n == 64
 
 
+def test_witness_above_the_vertex_cap(capsys):
+    # feasible or not, the query is refused for its vertex count
+    for p in ("1", "0"):
+        code, out, err = run_cli(capsys, ["witness", "-p", p, "-q", "1",
+                                          "-r", "1", "-n", "100"])
+        assert code == 2 and out == ""
+        assert err == "error: vertex count 100 exceeds 64\n"
+
+
 def test_witness_infeasible(capsys):
     code, out, _ = run_cli(capsys, ["witness", "-p", "2", "-q", "2",
                                     "-r", "2", "-n", "4"])

@@ -147,6 +147,8 @@ def test_disjoint_union():
     G = from_edge_list(1, [], labels=("p",))
     H = from_edge_list(1, [], labels=("q",))
     assert disjoint_union(G, H).labels == ("p", "q")
+    with pytest.raises(ValueError):
+        disjoint_union(complete_graph(40), complete_graph(30))
 
 
 def test_s_suspension():
@@ -168,6 +170,8 @@ def test_s_suspension():
     # empty S gives a dominating apex
     H = s_suspension(P4, set())
     assert H.degree(4) == 4
+    with pytest.raises(ValueError):
+        s_suspension(complete_graph(64), set())
 
 
 def test_connectivity():

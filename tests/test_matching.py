@@ -27,6 +27,7 @@ from matchinv import (
     regularity,
     star_graph,
 )
+from matchinv.matching import _edge_conflicts, _independent_above, _min_maximal
 
 
 def all_graphs(n):
@@ -175,6 +176,32 @@ def test_component_additivity_spot():
     assert tu == (ta.ind_match + tb.ind_match,
                   ta.min_match + tb.min_match,
                   ta.match + tb.match)
+
+
+def test_min_maximal_is_exact_below_its_limit():
+    # below the limit the value, otherwise a bound between limit and value;
+    # a memo filled under one limit must serve the next
+    for n in range(6):
+        for G in all_graphs(n):
+            value = oracles.min_match_number(G)
+            shared = {}
+            for limit in (3, 2, 1, 0):
+                for memo in ({}, shared):
+                    got = _min_maximal(G.adj, G.vertex_mask, limit, memo)
+                    if value < limit:
+                        assert got == value
+                    else:
+                        assert limit <= got <= value
+
+
+def test_independent_above_is_the_larger_of_floor_and_value():
+    for n in range(6):
+        for G in all_graphs(n):
+            value = oracles.ind_match_number(G)
+            every_edge = (1 << G.edge_count) - 1
+            for floor in range(4):
+                assert _independent_above(_edge_conflicts(G), every_edge,
+                                          floor) == max(floor, value)
 
 
 def assert_solvers_match_oracle(G):

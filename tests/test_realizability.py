@@ -69,6 +69,14 @@ def test_feasible_set_stops_at_the_vertex_cap():
         feasible_set(65)
 
 
+def test_n_above_the_vertex_cap_raises():
+    with pytest.raises(ValueError, match="vertex count 65 exceeds 64"):
+        is_feasible(TupleQuery(1, 1, 1, 65))
+    for tup in ((1, 1, 1, 65), (0, 1, 1, 65)):
+        with pytest.raises(ValueError, match="vertex count 65 exceeds 64"):
+            synthesize_witness(TupleQuery(*tup))
+
+
 def test_feasible_set_frozen():
     assert feasible_set(2) == {(1, 1, 1)}
     assert feasible_set(3) == {(1, 1, 1)}
