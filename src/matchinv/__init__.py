@@ -22,9 +22,19 @@ from .families import (FAMILY_NAMES, FamilySpec, build_family,
 from .realizability import (REASONS, TupleQuery, WitnessReport, feasible_set,
                             is_feasible, synthesize_witness, witness_spec)
 from .regularity import RegularityResult, reduced_homology_ranks, regularity
-from .verifier import (ScanResult, VerificationReport, connected_graph_count,
-                       enumerate_connected, scan_invariants, verify_av,
-                       verify_first_main_sampled, verify_lemma_suite,
-                       verify_theorem_first_main, verify_theorem_second_main)
 
 __version__ = "0.1.0"
+
+# the verifiers import numpy, which no other command needs, so they load on
+# first use
+_VERIFIER_NAMES = ("ScanResult", "VerificationReport", "connected_graph_count",
+                   "enumerate_connected", "scan_invariants", "verify_av",
+                   "verify_first_main_sampled", "verify_lemma_suite",
+                   "verify_theorem_first_main", "verify_theorem_second_main")
+
+
+def __getattr__(name: str):
+    if name in _VERIFIER_NAMES:
+        from . import verifier
+        return getattr(verifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,9 +28,6 @@ from .graph import Graph, graph6_decode, graph6_encode, is_connected, to_dot
 from .matching import invariant_triple
 from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
-from .verifier import (VerificationReport, verify_av, verify_first_main_sampled,
-                       verify_lemma_suite, verify_theorem_first_main,
-                       verify_theorem_second_main)
 
 
 def _print_json(obj: dict) -> None:
@@ -110,6 +107,10 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here because it loads numpy, which no other command needs
+    from .verifier import (VerificationReport, verify_av,
+                           verify_first_main_sampled, verify_lemma_suite,
+                           verify_theorem_first_main, verify_theorem_second_main)
     reports: list[VerificationReport] = []
     cap = {"first-main": 9, "av": 6, "lemmas": 7, "second-main": 9}[args.check]
     if args.n_max < 2:

@@ -16,10 +16,14 @@ bound and a lower bound of at least the bound otherwise, and
 ``_independent_above`` the larger of the bound and the exact value.
 Both solvers use reductions that keep the value: ``min_match_number`` the
 paper's twin-leaf and additivity lemmas, ``ind_match_number`` simplicial
-edges of the conflict graph.  On a 2-CPU host every witness of every feasible
-tuple at n = 24, 32, 48 and 64 is re-checked in at most 0.16 s, but
-``min_match_number`` can still take seconds on dense random graphs from
-about 19 vertices and tens of seconds near 30; measured figures are in the
+edges of the conflict graph.  ``min_match_number`` also cuts a node whose
+independence number, computed exactly by ``_alpha``, is so small that every
+maximal matching, which leaves an independent set uncovered, reaches the
+bound.  On a 2-CPU host every witness of every feasible tuple at n = 24,
+32, 48 and 64 is re-checked in at most 0.16 s, and ``min_match_number``
+takes about 10 ms on seeded G(30, 0.5) graphs and at most about 6 s on the
+G(64, p) graphs tried; ``ind_match_number`` can still run for long on
+sparse structured graphs such as a 64-cycle.  Measured figures are in the
 README, under "Limits and caveats".
 Certificate variants return the lexicographically first optimal matching
 under the fixed (u, v)-sorted edge order, so repeated runs are identical.
@@ -242,13 +246,66 @@ def _clique_cover_bound(adj: tuple[int, ...], vmask: int) -> int:
     return (vmask.bit_count() - cliques + 1) // 2
 
 
+def _alpha(adj: tuple[int, ...], mask: int, floor: int,
+           memo: dict[int, tuple[int, bool]]) -> int:
+    """The larger of ``floor`` and the independence number of G[mask].
+
+    A vertex of degree at most one is in some maximum independent set.
+    Otherwise every maximal independent set meets N[v], for v of least
+    degree, so the search branches on the first vertex of N[v] a set
+    holds.  Results
+    share ``_min_maximal``'s memo under the negative key ``~mask``, each
+    with whether it was above its floor, hence exact.
+    """
+    taken = 0
+    while mask:
+        # take each vertex of degree at most one as the pass meets it, and
+        # repeat until a pass takes none, so that v has least degree
+        before = taken
+        v, least = -1, 64
+        rem = mask
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            x = low.bit_length() - 1
+            nb = adj[x] & mask
+            if not nb & (nb - 1):
+                taken += 1
+                mask &= ~(nb | low)
+                rem &= ~nb
+            elif nb.bit_count() < least:
+                v, least = x, nb.bit_count()
+        if taken == before:
+            break
+    else:
+        return max(floor, taken)
+    floor -= taken
+    hit = memo.get(~mask)
+    if hit is not None and (hit[1] or hit[0] <= floor):
+        return taken + max(floor, hit[0])
+    best = floor
+    rem = adj[v] & mask | 1 << v
+    unseen = mask
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        # sets holding an earlier vertex of N[v] were searched already
+        unseen ^= low
+        left = unseen & ~adj[low.bit_length() - 1]
+        if left.bit_count() >= best:
+            best = 1 + _alpha(adj, left, best - 1, memo)
+    memo[~mask] = (best, best > floor)
+    return taken + best
+
+
 def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
                  memo: dict[int, tuple[int, bool]]) -> int:
     """Min maximal matching of G[mask] when below ``limit``.
 
     Otherwise the result is a lower bound of at least ``limit``.  ``memo``
     maps a reduced mask to its best result so far and whether that result
-    was below its limit, hence exact, for one solver call.
+    was below its limit, hence exact, for one solver call; ``_alpha`` keeps
+    its results there under negative keys.
     """
     # isolated vertices leave the clique-cover bound as it is, so it may cut
     # before the reduction does
@@ -295,6 +352,18 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
         else:
             value += rest_lo
     else:
+        # the uncovered vertices are independent, so the value is at least
+        # ceil((|mask| - alpha) / 2), which reaches the limit iff alpha <= t;
+        # a greedy independent set above t shows that alpha is too
+        t = mask.bit_count() - 2 * limit + 1
+        size, rem = 0, mask
+        while rem and size <= t:
+            low = rem & -rem
+            rem &= ~(adj[low.bit_length() - 1] | low)
+            size += 1
+        if size <= t and _alpha(adj, mask, t, memo) == t:
+            memo[mask] = (limit, False)
+            return limit
         # a maximal matching covers a forced vertex, and dominates the
         # lowest edge {u, v} by some edge meeting u or v
         if forced:
@@ -336,7 +405,11 @@ def min_match_number(G: Graph) -> int:
     the first limit.  Each node drops isolated vertices and all but one leaf
     at a vertex (the paper's twin-leaf lemma), splits into components whose
     values add up (its additivity lemma), and branches on the edges at a
-    vertex some maximal matching must cover, skipping twin partners.
+    vertex some maximal matching must cover, skipping twin partners.  A
+    maximal matching leaves an independent set uncovered, so it has at
+    least (|S| - alpha(G[S])) / 2 edges on a vertex set S; before a
+    connected node branches, that bound cuts it when it reaches the limit.
+    A greedy independent set decides most nodes without the exact alpha.
     """
     greedy = _greedy_maximal_size(G.adj, G.vertex_mask)
     return min(greedy, _min_maximal(G.adj, G.vertex_mask, greedy, {}))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -27,7 +28,8 @@ from matchinv import (
     regularity,
     star_graph,
 )
-from matchinv.matching import _edge_conflicts, _independent_above, _min_maximal
+from matchinv.matching import (_alpha, _edge_conflicts, _independent_above,
+                               _min_maximal)
 
 
 def all_graphs(n):
@@ -202,6 +204,46 @@ def test_independent_above_is_the_larger_of_floor_and_value():
             for floor in range(4):
                 assert _independent_above(_edge_conflicts(G), every_edge,
                                           floor) == max(floor, value)
+
+
+def test_alpha_is_the_larger_of_floor_and_independence_number():
+    # a memo filled under one floor must serve the next
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        G = oracles.random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+        alpha = max(m.bit_count() for m in oracles.independent_set_masks(G))
+        shared = {}
+        for floor in (4, 0, 2, 6, 1):
+            for memo in ({}, shared):
+                assert _alpha(G.adj, G.vertex_mask, floor, memo) == max(floor, alpha)
+
+
+def test_alpha_on_bipartite_graphs_is_n_minus_match():
+    # Koenig: alpha = n - match on a bipartite graph; a forest always keeps a
+    # vertex of degree at most one, so the leaf rule alone takes it apart
+    rng = random.Random(14)
+    for n in (8, 20, 40, 64):
+        for p in (0.05, 0.15, 0.4):
+            side = [rng.random() < 0.5 for _ in range(n)]
+            G = from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                   if side[u] != side[v] and rng.random() < p])
+            assert _alpha(G.adj, G.vertex_mask, 0, {}) == n - match_number(G)
+        forest = from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)
+                                    if rng.random() < 0.9])
+        memo = {}
+        assert _alpha(forest.adj, forest.vertex_mask, 0, memo) == n - match_number(forest)
+        assert memo == {}
+
+
+def test_dense_random_graphs_finish():
+    # the alpha cut proves these optimal at once; without it G(30, 0.5) took
+    # 10-30 s each and G(64, 0.5) ran past 20 s
+    start = time.perf_counter()
+    for seed in range(3):
+        assert min_match_number(oracles.random_graph(random.Random(seed), 30, 0.5)) == 12
+    assert min_match_number(oracles.random_graph(random.Random(0), 64, 0.5)) == 28
+    assert time.perf_counter() - start < 5
 
 
 def assert_solvers_match_oracle(G):

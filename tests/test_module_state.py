@@ -4,10 +4,17 @@ A module-level dict, list, set or bytearray is a cache or a registry
 that outlives the call that filled it, so results could depend on what
 ran before.  Dunder names (``__builtins__``, ``__path__``) belong to the
 import system and are not checked.
+
+Importing the package and its CLI loads no numpy: only the verifiers
+need it, and they load on first use.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import matchinv
 
@@ -22,3 +29,14 @@ def test_no_module_holds_mutable_state():
                   for attr, value in vars(importlib.import_module(name)).items()
                   if not attr.startswith("__") and isinstance(value, MUTABLE))
     assert held == []
+
+
+def test_numpy_loads_only_for_verify():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, matchinv, matchinv.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
+    assert matchinv.verify_av is importlib.import_module("matchinv.verifier").verify_av
