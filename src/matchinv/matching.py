@@ -21,7 +21,7 @@ independence number, computed exactly by ``_alpha``, is so small that every
 maximal matching, which leaves an independent set uncovered, reaches the
 bound.  On a 2-CPU host every witness of every feasible tuple at n = 24,
 32, 48 and 64 is re-checked in at most 0.16 s, and ``min_match_number``
-takes about 10 ms on seeded G(30, 0.5) graphs and at most about 6 s on the
+takes about 10 ms on seeded G(30, 0.5) graphs and at most about 7 s on the
 G(64, p) graphs tried; ``ind_match_number`` can still run for long on
 sparse structured graphs such as a 64-cycle.  Measured figures are in the
 README, under "Limits and caveats".
@@ -409,7 +409,8 @@ def min_match_number(G: Graph) -> int:
     maximal matching leaves an independent set uncovered, so it has at
     least (|S| - alpha(G[S])) / 2 edges on a vertex set S; before a
     connected node branches, that bound cuts it when it reaches the limit.
-    A greedy independent set decides most nodes without the exact alpha.
+    A greedy independent set that is already too large lets the node
+    branch without the exact alpha.
     """
     greedy = _greedy_maximal_size(G.adj, G.vertex_mask)
     return min(greedy, _min_maximal(G.adj, G.vertex_mask, greedy, {}))
