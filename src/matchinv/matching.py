@@ -19,11 +19,12 @@ paper's twin-leaf and additivity lemmas, ``ind_match_number`` simplicial
 edges of the conflict graph.  ``min_match_number`` also cuts a node whose
 independence number, computed exactly by ``_alpha``, is so small that every
 maximal matching, which leaves an independent set uncovered, reaches the
-bound.  On a 2-CPU host every witness of every feasible tuple at n = 24,
-32, 48 and 64 is re-checked in at most 0.16 s, and ``min_match_number``
-takes about 10 ms on seeded G(30, 0.5) graphs and at most about 7 s on the
-G(64, p) graphs tried; ``ind_match_number`` can still run for long on
-sparse structured graphs such as a 64-cycle.  Measured figures are in the
+bound.  ``ind_match_number`` builds its conflict masks with a few mask ORs
+per edge.  On a 2-CPU host every witness of every feasible tuple at n =
+24, 32, 48 and 64 is re-checked in at most 0.13 s (all 7,514 in 46 s),
+and ``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and
+at most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` can
+still run for long on sparse structured graphs such as a 64-cycle.  Measured figures are in the
 README, under "Limits and caveats".
 Certificate variants return the lexicographically first optimal matching
 under the fixed (u, v)-sorted edge order, so repeated runs are identical.
@@ -424,22 +425,35 @@ def _edge_conflicts(G: Graph) -> list[int]:
     """Per edge of ``G.edges()``, the mask of incompatible edges.
 
     Two edges are incompatible for an induced matching when they share a
-    vertex or some edge of G joins their endpoints.  Each conflict mask
-    includes the edge itself.
+    vertex or some edge of G joins their endpoints, that is, when the
+    second meets N(a) | N(b) for the first edge {a, b}; that set holds a
+    and b, so each conflict mask includes the edge itself.  Built by mask
+    ORs: one pass over the adjacency rows numbers the edges in
+    ``G.edges()`` order and fills ``incident[v]``, the edges at v; a second
+    fills ``reach[v]``, the OR of ``incident`` over N(v); the mask of
+    {a, b} is then ``reach[a] | reach[b]``.
     """
-    edges = G.edges()
+    adj = G.adj
     incident = [0] * G.n
-    for i, (a, b) in enumerate(edges):
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
-    conflicts = []
-    for a, b in edges:
-        # N(a) | N(b) holds a and b: the edges meeting it are the conflicts
+    ends = []
+    for a in range(G.n):
+        upper = adj[a] >> (a + 1) << (a + 1)
+        while upper:
+            low = upper & -upper
+            upper ^= low
+            b = low.bit_length() - 1
+            incident[a] |= 1 << len(ends)
+            incident[b] |= 1 << len(ends)
+            ends.append((a, b))
+    reach = []
+    for row in adj:
         mask = 0
-        for x in _bits(G.adj[a] | G.adj[b]):
-            mask |= incident[x]
-        conflicts.append(mask)
-    return conflicts
+        while row:
+            low = row & -row
+            row ^= low
+            mask |= incident[low.bit_length() - 1]
+        reach.append(mask)
+    return [reach[a] | reach[b] for a, b in ends]
 
 
 def _independent_above(conflicts: list[int], cand: int, floor: int) -> int:
@@ -466,7 +480,9 @@ def ind_match_number(G: Graph) -> int:
     of Akiba and Iwata, Theor. Comput. Sci. 2016).  The conflict graph of G
     is the square of its line graph, which is chordal when G is (Cameron
     1989), so for a chordal G, such as every family witness, no branching is
-    left.
+    left.  The conflict masks take a few mask ORs per edge: the mask of
+    {a, b} is the OR of the edges meeting N(a) and those meeting N(b), each
+    built once per vertex.
     """
     conflicts = _edge_conflicts(G)
     # an edge whose remaining conflicts form a clique is simplicial, and some

@@ -206,6 +206,36 @@ def test_independent_above_is_the_larger_of_floor_and_value():
                                           floor) == max(floor, value)
 
 
+def conflicts_by_definition(G):
+    """Per edge of ``G.edges()``, bit j set iff the j-th edge conflicts."""
+    edges = G.edges()
+    masks = [0] * len(edges)
+    for i, (a, b) in enumerate(edges):
+        for j in range(i, len(edges)):
+            x, y = f = edges[j]
+            if (a in f or b in f or G.has_edge(a, x) or G.has_edge(a, y)
+                    or G.has_edge(b, x) or G.has_edge(b, y)):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def test_edge_conflicts_match_the_definition():
+    # in K64 any two vertices are adjacent, so every two edges conflict
+    K64 = complete_graph(64)
+    every = (1 << K64.edge_count) - 1
+    assert _edge_conflicts(K64) == [every] * 2016
+    graphs = [from_edge_list(0, []), from_edge_list(1, []),
+              from_edge_list(9, []), star_graph(20), cycle_graph(64),
+              petersen_graph(), complete_graph(12)]
+    rng = random.Random(15)
+    for n in (2, 5, 12, 30, 48, 64):
+        for p in (0.05, 0.15, 0.4):
+            graphs.append(oracles.random_graph(rng, n, p))
+    for G in graphs:
+        assert _edge_conflicts(G) == conflicts_by_definition(G)
+
+
 def test_alpha_is_the_larger_of_floor_and_independence_number():
     # a memo filled under one floor must serve the next
     rng = random.Random(13)
