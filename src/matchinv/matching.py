@@ -20,12 +20,12 @@ edges of the conflict graph.  ``min_match_number`` also cuts a node whose
 independence number, computed exactly by ``_alpha``, is so small that every
 maximal matching, which leaves an independent set uncovered, reaches the
 bound.  ``ind_match_number`` builds its conflict masks with a few mask ORs
-per edge.  On a 2-CPU host every witness of every feasible tuple at n =
-24, 32, 48 and 64 is re-checked in at most 0.13 s (all 7,514 in 46 s),
-and ``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and
-at most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` can
-still run for long on sparse structured graphs such as a 64-cycle.  Measured figures are in the
-README, under "Limits and caveats".
+per edge.  On a 2-CPU host every witness of every feasible tuple at n = 24,
+32, 48 and 64 is re-checked in at most 0.13 s (all 7,514 in about 45 s), and
+``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and at
+most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` can still
+run for long on sparse structured graphs such as a 64-cycle.  Measured
+figures are in the README, under "Limits and caveats".
 Certificate variants return the lexicographically first optimal matching
 under the fixed (u, v)-sorted edge order, so repeated runs are identical.
 One routine builds all three on top of the solvers above; it makes up to
