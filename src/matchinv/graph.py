@@ -154,12 +154,6 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(keep), tuple(rows), lab)
 
 
-def delete_vertex(G: Graph, v: int) -> Graph:
-    if not 0 <= v < G.n:
-        raise ValueError(f"vertex {v} out of range")
-    return induced_subgraph(G, [u for u in range(G.n) if u != v])
-
-
 def disjoint_union(G: Graph, H: Graph) -> Graph:
     """Disjoint union, H relabeled to start at G.n."""
     n = G.n + H.n
@@ -213,12 +207,6 @@ def connected_components(G: Graph) -> list[int]:
         comps.append(reach)
         seen |= reach
     return comps
-
-
-def complement(G: Graph) -> Graph:
-    full = G.vertex_mask
-    rows = tuple((full ^ G.adj[v]) & ~(1 << v) for v in range(G.n))
-    return Graph(G.n, rows, G.labels)
 
 
 def is_chordal(G: Graph) -> bool:

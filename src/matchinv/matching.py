@@ -26,20 +26,14 @@ per edge.  On a 2-CPU host every witness of every feasible tuple at n = 24,
 most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` can still
 run for long on sparse structured graphs such as a 64-cycle.  Measured
 figures are in the README, under "Limits and caveats".
-Certificate variants return the lexicographically first optimal matching
-under the fixed (u, v)-sorted edge order, so repeated runs are identical.
-One routine builds all three on top of the solvers above; it makes up to
-(edges x size) solver calls on induced subgraphs, so it is meant for the
-same sizes as the solvers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
-from .graph import Graph, _bits, induced_subgraph
+from .graph import Graph, _bits
 
 
 class InvariantTriple(NamedTuple):
@@ -48,73 +42,6 @@ class InvariantTriple(NamedTuple):
     ind_match: int
     min_match: int
     match: int
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges, stored sorted."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def covered_mask(self) -> int:
-        mask = 0
-        for u, v in self.edges:
-            mask |= (1 << u) | (1 << v)
-        return mask
-
-
-def _normalize_edges(G: Graph, M: Iterable[tuple[int, int]] | Matching) -> list[tuple[int, int]]:
-    if isinstance(M, Matching):
-        pairs = list(M.edges)
-    else:
-        pairs = [tuple(sorted(e)) for e in M]
-    for u, v in pairs:
-        if not G.has_edge(u, v):
-            raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
-    return sorted(set(pairs))
-
-
-def is_matching(G: Graph, M: Iterable[tuple[int, int]] | Matching) -> bool:
-    """True iff the edges are pairwise vertex-disjoint."""
-    covered = 0
-    for u, v in _normalize_edges(G, M):
-        pair = (1 << u) | (1 << v)
-        if covered & pair:
-            return False
-        covered |= pair
-    return True
-
-
-def is_maximal_matching(G: Graph, M: Iterable[tuple[int, int]] | Matching) -> bool:
-    """True iff M is a matching and no edge of G can be added to it.
-
-    Equivalently: the uncovered vertices form an independent set.
-    """
-    edges = _normalize_edges(G, M)
-    if not is_matching(G, edges):
-        raise ValueError("edge set is not a matching")
-    covered = 0
-    for u, v in edges:
-        covered |= (1 << u) | (1 << v)
-    free = G.vertex_mask & ~covered
-    return all(not G.adj[v] & free for v in _bits(free))
-
-
-def is_induced_matching(G: Graph, M: Iterable[tuple[int, int]] | Matching) -> bool:
-    """True iff M is a matching and no single edge of G meets two of its edges."""
-    edges = _normalize_edges(G, M)
-    if not is_matching(G, edges):
-        raise ValueError("edge set is not a matching")
-    for i, (a, b) in enumerate(edges):
-        reach = G.adj[a] | G.adj[b] | (1 << a) | (1 << b)
-        for c, d in edges[i + 1:]:
-            if reach >> c & 1 or reach >> d & 1:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -513,64 +440,3 @@ def invariant_triple(G: Graph) -> InvariantTriple:
         min_match=min_match_number(G),
         match=match_number(G),
     )
-
-
-# ---------------------------------------------------------------------------
-# lexicographically first optimal certificates
-# ---------------------------------------------------------------------------
-
-def _lex_first(G: Graph, value: Callable[[Graph], int],
-               peel: Callable[[int, int], int]) -> Matching:
-    """Lexicographically first optimal matching, one edge at a time.
-
-    ``value`` is the invariant's solver and ``peel(u, v)`` the vertex mask a
-    chosen edge {u, v} takes out of play.  An optimal matching containing
-    the chosen edges and {u, v} is those edges plus an optimal one of the
-    graph left after the peel, so an edge is kept exactly when that graph
-    still reaches the rest of the target.  The residual need not be cut
-    down to later edges: an optimum holding the chosen prefix and an
-    earlier edge would be lexicographically smaller than the answer.
-    """
-    target = value(G)
-    chosen: list[tuple[int, int]] = []
-    rest = G.vertex_mask
-    for u, v in G.edges():
-        if len(chosen) == target:
-            break
-        if _endpoints(u, v) & ~rest:
-            continue
-        left = rest & ~peel(u, v)
-        if value(induced_subgraph(G, _bits(left))) == target - len(chosen) - 1:
-            chosen.append((u, v))
-            rest = left
-    if len(chosen) < target:  # pragma: no cover - the target is always reachable
-        raise RuntimeError("internal error: certificate search failed")
-    return Matching(tuple(chosen))
-
-
-def _endpoints(u: int, v: int) -> int:
-    return (1 << u) | (1 << v)
-
-
-def max_matching(G: Graph) -> Matching:
-    """Lexicographically first maximum matching under the sorted edge order."""
-    return _lex_first(G, match_number, _endpoints)
-
-
-def min_maximal_matching(G: Graph) -> Matching:
-    """Lexicographically first minimum maximal matching.
-
-    A maximal matching containing {u, v} is {u, v} plus a maximal matching
-    of G - u - v, so the peel is the two endpoints.
-    """
-    return _lex_first(G, min_match_number, _endpoints)
-
-
-def max_induced_matching(G: Graph) -> Matching:
-    """Lexicographically first maximum induced matching.
-
-    The other edges of an induced matching containing {u, v} avoid
-    N[u] and N[v], so the peel is both closed neighbourhoods.
-    """
-    return _lex_first(G, ind_match_number,
-                      lambda u, v: G.adj[u] | G.adj[v] | _endpoints(u, v))

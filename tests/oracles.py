@@ -59,25 +59,6 @@ def triple(G: Graph) -> tuple[int, int, int]:
     return (ind_match_number(G), min_match_number(G), match_number(G))
 
 
-def lex_first_optima(G: Graph, kind: str) -> tuple[tuple[int, int], ...]:
-    """Lexicographically first optimal matching of the given kind."""
-    sols = all_matchings(G)
-    if kind == "max":
-        best = max(len(M) for M in sols)
-        pool = [M for M in sols if len(M) == best]
-    elif kind == "min_maximal":
-        pool = [M for M in sols if _is_maximal(G, M)]
-        best = min(len(M) for M in pool)
-        pool = [M for M in pool if len(M) == best]
-    else:
-        pool = [M for M in sols if _is_induced(G, M)]
-        best = max(len(M) for M in pool)
-        pool = [M for M in pool if len(M) == best]
-    order = {e: i for i, e in enumerate(G.edges())}
-    best_M = min(pool, key=lambda M: sorted(order[e] for e in M))
-    return tuple(sorted(best_M, key=lambda e: order[e]))
-
-
 def isomorphic(G: Graph, H: Graph) -> bool:
     """Permutation brute force, for n <= 7."""
     if G.n != H.n:

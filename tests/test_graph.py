@@ -8,11 +8,9 @@ import pytest
 import oracles
 from matchinv import (
     Graph,
-    complement,
     complete_bipartite_graph,
     complete_graph,
     connected_components,
-    delete_vertex,
     disjoint_union,
     from_edge_list,
     graph6_decode,
@@ -122,21 +120,6 @@ def test_induced_subgraph():
         induced_subgraph(P4, [0, 4])
 
 
-def test_delete_vertex():
-    P4 = path_graph(4)
-    assert delete_vertex(P4, 0).edges() == [(0, 1), (1, 2)]
-    assert delete_vertex(P4, 1).edges() == [(1, 2)]
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(2, 7)
-        G = oracles.random_graph(rng, n)
-        v = rng.randrange(n)
-        H = delete_vertex(G, v)
-        expect = [(a - (a > v), b - (b > v)) for a, b in G.edges()
-                  if v not in (a, b)]
-        assert list(H.edges()) == sorted(expect)
-
-
 def test_disjoint_union():
     A = path_graph(2)
     B = path_graph(3)
@@ -190,15 +173,6 @@ def test_connected_components():
     assert comps == [0b010101, 0b100010, 0b001000]
     assert connected_components(from_edge_list(0, [])) == []
     assert connected_components(complete_graph(3)) == [0b111]
-
-
-def test_complement():
-    K4 = complete_graph(4)
-    assert complement(K4).edge_count == 0
-    P4 = path_graph(4)
-    assert complement(complement(P4)).adj == P4.adj
-    two_k3 = disjoint_union(complete_graph(3), complete_graph(3))
-    assert oracles.isomorphic(complement(two_k3), complete_bipartite_graph(3, 3))
 
 
 def test_chordal_examples():

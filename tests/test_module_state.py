@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import matchinv
 
 MUTABLE = (dict, list, set, bytearray)
@@ -40,3 +42,13 @@ def test_numpy_loads_only_for_verify():
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
     assert matchinv.verify_av is importlib.import_module("matchinv.verifier").verify_av
+
+
+def test_lazy_verifier_exports_resolve():
+    verifier = importlib.import_module("matchinv.verifier")
+    for name in matchinv._VERIFIER_NAMES:
+        assert matchinv.__getattr__(name) is getattr(verifier, name)
+    with pytest.raises(AttributeError):
+        matchinv.__getattr__("no_such_name")
+    with pytest.raises(AttributeError):
+        matchinv.no_such_name

@@ -13,9 +13,6 @@ from matchinv import (
     is_chordal,
     is_connected,
     is_feasible,
-    is_maximal_matching,
-    min_match_number,
-    min_maximal_matching,
     synthesize_witness,
     witness_spec,
 )
@@ -168,14 +165,6 @@ def test_every_witness_rechecks_at_24_and_32():
             assert rep.graph.n == n and tuple(rep.verified) == tup
             count += 1
     assert count == 283 + 633
-
-
-def test_min_maximal_certificate_on_witnesses():
-    for tup in ((1, 6, 12), (3, 8, 9), (5, 9, 12), (2, 10, 11), (4, 11, 11)):
-        G = synthesize_witness(TupleQuery(*tup, 24)).graph
-        M = min_maximal_matching(G)
-        assert is_maximal_matching(G, M)
-        assert M.size == min_match_number(G) == tup[1]
 
 
 def test_report_json_deterministic():
