@@ -6,26 +6,26 @@ Three numbers per graph:
 * ``min_match_number`` -- minimum maximal matching size (NP-hard, exact
   branch and bound over vertex masks; a matching is maximal iff the
   uncovered vertices form an independent set)
-* ``ind_match_number`` -- maximum induced matching size (NP-hard, exact
-  branch and bound over edge conflict masks)
+* ``ind_match_number`` -- maximum induced matching size (NP-hard, the
+  exact independence number of the edge conflict graph)
 
-The branch-and-bound solvers are exact and exponential in the worst case.
-Each is one recursive function that takes a candidate mask and a bound and
-returns one number: ``_min_maximal`` the exact value when it is below the
-bound and a lower bound of at least the bound otherwise, and
-``_independent_above`` the larger of the bound and the exact value.
-Both solvers use reductions that keep the value: ``min_match_number`` the
-paper's twin-leaf and additivity lemmas, ``ind_match_number`` simplicial
-edges of the conflict graph.  ``min_match_number`` also cuts a node whose
-independence number, computed exactly by ``_alpha``, is so small that every
+The branch-and-bound searches are exact and exponential in the worst case.
+Each is one recursive function that takes a mask and a bound and returns one
+number: ``_min_maximal`` the exact value when it is below the bound and a
+lower bound of at least the bound otherwise, and ``_alpha``, the one
+independence-number search, the larger of the bound and the exact value.
+``_min_maximal`` uses the paper's twin-leaf and additivity lemmas, and cuts a
+node whose independence number, from ``_alpha``, is so small that every
 maximal matching, which leaves an independent set uncovered, reaches the
-bound.  ``ind_match_number`` builds its conflict masks with a few mask ORs
-per edge.  On a 2-CPU host every witness of every feasible tuple at n = 24,
-32, 48 and 64 is re-checked in at most 0.13 s (all 7,514 in about 45 s), and
+bound.  ``ind_match_number`` is ``_alpha`` on the edge conflict graph, whose
+rows take a few mask ORs per edge; ``_alpha`` takes simplicial vertices at
+every node.  On a 2-CPU host every witness of every feasible tuple at n = 24,
+32, 48 and 64 is re-checked in at most 0.1 s (all 7,514 in about 35 s);
 ``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and at
-most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` can still
-run for long on sparse structured graphs such as a 64-cycle.  Measured
-figures are in the README, under "Limits and caveats".
+most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` takes at
+most about 15 ms on a 64-cycle, on the prism ladder C3 x P21 and on twelve
+chained 5-cycles, and up to about 9 s on the sparse G(64, p) graphs tried.
+Measured figures are in the README, under "Limits and caveats".
 """
 
 from __future__ import annotations
@@ -178,31 +178,45 @@ def _alpha(adj: tuple[int, ...], mask: int, floor: int,
            memo: dict[int, tuple[int, bool]]) -> int:
     """The larger of ``floor`` and the independence number of G[mask].
 
-    A vertex of degree at most one is in some maximum independent set.
-    Otherwise every maximal independent set meets N[v], for v of least
-    degree, so the search branches on the first vertex of N[v] a set
-    holds.  Results
-    share ``_min_maximal``'s memo under the negative key ``~mask``, each
-    with whether it was above its floor, hence exact.
+    A simplicial vertex, one whose neighbours form a clique, is in some
+    maximum independent set (the simplicial case of the domination rule of
+    Akiba and Iwata, Theor. Comput. Sci. 2016); a vertex of degree at most
+    one is the special case.  Otherwise every maximal independent set meets
+    N[v], for v of least degree, so the search branches on the first vertex
+    of N[v] a set holds.  ``adj`` may be ``G.adj`` or the rows of
+    ``_edge_conflicts``.  Results go to ``memo`` under the negative key
+    ``~mask``, next to ``_min_maximal``'s, each with whether it was above its
+    floor, hence exact.
     """
     taken = 0
     while mask:
-        # take each vertex of degree at most one as the pass meets it, and
-        # repeat until a pass takes none, so that v has least degree
+        # take each simplicial vertex as the pass meets it, and repeat until
+        # a pass takes none, so that v has least degree; a vertex of degree
+        # above the least seen so far is not tested
         before = taken
-        v, least = -1, 64
+        v, least = -1, mask.bit_count()
         rem = mask
         while rem:
             low = rem & -rem
             rem ^= low
             x = low.bit_length() - 1
             nb = adj[x] & mask
-            if not nb & (nb - 1):
+            degree = nb.bit_count()
+            if degree > least:
+                continue
+            # N(x) is a clique when each neighbour is adjacent to the later ones
+            others = nb
+            while others:
+                f = others & -others
+                others ^= f
+                if others & ~adj[f.bit_length() - 1]:
+                    break
+            if not others:
                 taken += 1
                 mask &= ~(nb | low)
                 rem &= ~nb
-            elif nb.bit_count() < least:
-                v, least = x, nb.bit_count()
+            elif degree < least:
+                v, least = x, degree
         if taken == before:
             break
     else:
@@ -348,17 +362,16 @@ def min_match_number(G: Graph) -> int:
 # maximum induced matching
 # ---------------------------------------------------------------------------
 
-def _edge_conflicts(G: Graph) -> list[int]:
-    """Per edge of ``G.edges()``, the mask of incompatible edges.
+def _edge_conflicts(G: Graph) -> tuple[int, ...]:
+    """Adjacency rows of the edge conflict graph, in ``G.edges()`` order.
 
-    Two edges are incompatible for an induced matching when they share a
-    vertex or some edge of G joins their endpoints, that is, when the
-    second meets N(a) | N(b) for the first edge {a, b}; that set holds a
-    and b, so each conflict mask includes the edge itself.  Built by mask
-    ORs: one pass over the adjacency rows numbers the edges in
-    ``G.edges()`` order and fills ``incident[v]``, the edges at v; a second
-    fills ``reach[v]``, the OR of ``incident`` over N(v); the mask of
-    {a, b} is then ``reach[a] | reach[b]``.
+    Two edges conflict in an induced matching when they share a vertex or
+    some edge of G joins their endpoints, that is, when the second meets
+    N(a) | N(b) for the first edge {a, b}.  Like ``G.adj``, a row leaves out
+    its own edge.  Built by mask ORs: one pass over the adjacency rows
+    numbers the edges in ``G.edges()`` order and fills ``incident[v]``, the
+    edges at v; a second fills ``reach[v]``, the OR of ``incident`` over
+    N(v); the row of {a, b} is then ``reach[a] | reach[b]`` less {a, b}.
     """
     adj = G.adj
     incident = [0] * G.n
@@ -380,57 +393,20 @@ def _edge_conflicts(G: Graph) -> list[int]:
             row ^= low
             mask |= incident[low.bit_length() - 1]
         reach.append(mask)
-    return [reach[a] | reach[b] for a, b in ends]
-
-
-def _independent_above(conflicts: list[int], cand: int, floor: int) -> int:
-    """The larger of ``floor`` and the most pairwise compatible edges in cand.
-
-    Branches on the lowest candidate edge: take it, or leave it out.
-    """
-    best = max(floor, 0)
-    rem = cand
-    while rem.bit_count() > best:
-        low = rem & -rem
-        rem ^= low
-        child = cand & ~conflicts[low.bit_length() - 1] & ~(low | (low - 1))
-        if 1 + child.bit_count() > best:
-            best = 1 + _independent_above(conflicts, child, best - 1)
-    return best
+    return tuple((reach[a] | reach[b]) ^ 1 << e for e, (a, b) in enumerate(ends))
 
 
 def ind_match_number(G: Graph) -> int:
     """Size of a maximum induced matching (exact).
 
-    Maximum independent set of the edge conflict graph, by branch and bound
-    after taking simplicial edges (the simplicial case of the domination rule
-    of Akiba and Iwata, Theor. Comput. Sci. 2016).  The conflict graph of G
-    is the square of its line graph, which is chordal when G is (Cameron
-    1989), so for a chordal G, such as every family witness, no branching is
-    left.  The conflict masks take a few mask ORs per edge: the mask of
-    {a, b} is the OR of the edges meeting N(a) and those meeting N(b), each
-    built once per vertex.
+    The independence number of the edge conflict graph, by ``_alpha``.  The
+    conflict graph of G is the square of its line graph, which is chordal
+    when G is (Cameron 1989), so it always has a simplicial vertex, a
+    simplicial edge of G; on the family witnesses tried, ``_alpha``'s
+    simplicial rule leaves no branching.
     """
-    conflicts = _edge_conflicts(G)
-    # an edge whose remaining conflicts form a clique is simplicial, and some
-    # maximum independent set holds it; take every such edge
-    size = 0
-    cand = rem = (1 << len(conflicts)) - 1
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        e = low.bit_length() - 1
-        others = cand & conflicts[e] & ~low
-        clique = True
-        while others and clique:
-            f = others & -others
-            others ^= f
-            clique = not others & ~conflicts[f.bit_length() - 1]
-        if clique:
-            size += 1
-            cand &= ~conflicts[e]
-            rem = cand
-    return size + _independent_above(conflicts, cand, 0)
+    rows = _edge_conflicts(G)
+    return _alpha(rows, (1 << len(rows)) - 1, 0, {})
 
 
 def invariant_triple(G: Graph) -> InvariantTriple:

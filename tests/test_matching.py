@@ -19,8 +19,7 @@ from matchinv import (
     regularity,
     star_graph,
 )
-from matchinv.matching import (_alpha, _edge_conflicts, _independent_above,
-                               _min_maximal)
+from matchinv.matching import _alpha, _edge_conflicts, _min_maximal
 
 
 def all_graphs(n):
@@ -123,35 +122,38 @@ def test_min_maximal_is_exact_below_its_limit():
                         assert limit <= got <= value
 
 
-def test_independent_above_is_the_larger_of_floor_and_value():
+def test_alpha_on_conflict_rows_is_the_larger_of_floor_and_value():
+    # a memo filled under one floor must serve the next
     for n in range(6):
         for G in all_graphs(n):
             value = oracles.ind_match_number(G)
+            rows = _edge_conflicts(G)
             every_edge = (1 << G.edge_count) - 1
+            shared = {}
             for floor in range(4):
-                assert _independent_above(_edge_conflicts(G), every_edge,
-                                          floor) == max(floor, value)
+                for memo in ({}, shared):
+                    assert _alpha(rows, every_edge, floor, memo) == max(floor, value)
 
 
 def conflicts_by_definition(G):
-    """Per edge of ``G.edges()``, bit j set iff the j-th edge conflicts."""
+    """Per edge of ``G.edges()``, bit j set iff another, j-th edge conflicts."""
     edges = G.edges()
     masks = [0] * len(edges)
     for i, (a, b) in enumerate(edges):
-        for j in range(i, len(edges)):
+        for j in range(i + 1, len(edges)):
             x, y = f = edges[j]
             if (a in f or b in f or G.has_edge(a, x) or G.has_edge(a, y)
                     or G.has_edge(b, x) or G.has_edge(b, y)):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    return masks
+    return tuple(masks)
 
 
 def test_edge_conflicts_match_the_definition():
     # in K64 any two vertices are adjacent, so every two edges conflict
     K64 = complete_graph(64)
     every = (1 << K64.edge_count) - 1
-    assert _edge_conflicts(K64) == [every] * 2016
+    assert _edge_conflicts(K64) == tuple(every ^ 1 << j for j in range(2016))
     graphs = [from_edge_list(0, []), from_edge_list(1, []),
               from_edge_list(9, []), star_graph(20), cycle_graph(64),
               petersen_graph(), complete_graph(12)]
@@ -178,7 +180,8 @@ def test_alpha_is_the_larger_of_floor_and_independence_number():
 
 def test_alpha_on_bipartite_graphs_is_n_minus_match():
     # Koenig: alpha = n - match on a bipartite graph; a forest always keeps a
-    # vertex of degree at most one, so the leaf rule alone takes it apart
+    # vertex of degree at most one, which is simplicial, so the simplicial
+    # rule takes it apart without branching
     rng = random.Random(14)
     for n in (8, 20, 40, 64):
         for p in (0.05, 0.15, 0.4):
@@ -191,6 +194,41 @@ def test_alpha_on_bipartite_graphs_is_n_minus_match():
         memo = {}
         assert _alpha(forest.adj, forest.vertex_mask, 0, memo) == n - match_number(forest)
         assert memo == {}
+
+
+def prism_ladder(k):
+    """C3 x P_k: k triangles, the i-th vertex of each joined to the next's."""
+    edges = []
+    for t in range(k):
+        edges += [(3 * t, 3 * t + 1), (3 * t + 1, 3 * t + 2), (3 * t, 3 * t + 2)]
+        edges += [(3 * t - 3 + i, 3 * t + i) for i in range(3) if t]
+    return from_edge_list(3 * k, edges)
+
+
+def chained_five_cycles(k):
+    """k copies of C5, vertex 1 of each joined to vertex 0 of the next."""
+    edges = []
+    for c in range(k):
+        edges += [(5 * c + i, 5 * c + (i + 1) % 5) for i in range(5)]
+        edges += [(5 * c - 4, 5 * c)] if c else []
+    return from_edge_list(5 * k, edges)
+
+
+def test_ind_match_on_cycles_ladders_and_chained_five_cycles():
+    # past C3 and C3 x P1 no conflict graph here is chordal; a search that
+    # took simplicial edges at the root only ran past 20 s on C64 and on
+    # C3 x P21, and took 5 s on twelve chained C5s
+    start = time.perf_counter()
+    for n in range(3, 65):
+        assert ind_match_number(cycle_graph(n)) == n // 3
+    graphs = ([prism_ladder(k) for k in range(1, 22)]
+              + [chained_five_cycles(k) for k in range(1, 13)])
+    for G in graphs:
+        value = ind_match_number(G)
+        assert value == oracles.ind_match_by_vertices(G)
+        if G.edge_count <= 15:
+            assert value == oracles.ind_match_number(G)
+    assert time.perf_counter() - start < 1
 
 
 def test_dense_random_graphs_finish():
