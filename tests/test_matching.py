@@ -136,7 +136,7 @@ def test_alpha_on_conflict_rows_is_the_larger_of_floor_and_value():
 
 
 def conflicts_by_definition(G):
-    """Per edge of ``G.edges()``, bit j set iff another, j-th edge conflicts."""
+    """Per edge of ``G.edges()``, bit j set iff the j-th edge differs and conflicts."""
     edges = G.edges()
     masks = [0] * len(edges)
     for i, (a, b) in enumerate(edges):
