@@ -5,6 +5,7 @@ import random
 import time
 
 import oracles
+import pytest
 from matchinv import (
     InvariantTriple,
     complete_bipartite_graph,
@@ -19,7 +20,8 @@ from matchinv import (
     regularity,
     star_graph,
 )
-from matchinv.matching import _alpha, _edge_conflicts, _min_maximal
+from matchinv.matching import _alpha, _blossom_matching, _edge_conflicts, _min_maximal
+from matchinv.verifier import _invariant_tables
 
 
 def all_graphs(n):
@@ -84,6 +86,38 @@ def test_solvers_match_oracle_random():
             continue
         assert invariant_triple(G) == oracles.triple(G)
         done += 1
+
+
+def matching_size(G, mate):
+    """Size of the matching in a mate array, after checking that it is one."""
+    assert len(mate) == G.n
+    for v, u in enumerate(mate):
+        assert u == -1 or (G.adj[v] >> u & 1 and mate[u] == v), (G, mate)
+    return sum(u != -1 for u in mate) // 2
+
+
+def test_blossom_mate_is_a_maximum_matching_up_to_six_vertices():
+    # all 33,867 labeled graphs with 1 <= n <= 6, against the labeled scan's
+    # match table, which fills it by a recurrence over edge masks
+    for n in range(1, 7):
+        match = _invariant_tables(n)[2]
+        for mask, G in enumerate(all_graphs(n)):
+            assert matching_size(G, _blossom_matching(G.n, G.adj)) == match[mask], mask
+
+
+def test_match_number_equals_networkx_on_random_graphs():
+    # the sparse graphs hold most of the blossoms; each density gets 167
+    # graphs with n uniform in 2..64
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(21)
+    densities = (0.02, 0.05, 0.1, 0.2, 0.5, 0.8)
+    for i in range(1002):
+        n = rng.randint(2, 64)
+        G = oracles.random_graph(rng, n, densities[i % len(densities)])
+        H = nx.Graph(G.edges())
+        nu = len(nx.max_weight_matching(H, maxcardinality=True))
+        assert matching_size(G, _blossom_matching(G.n, G.adj)) == nu, G
+        assert match_number(G) == nu
 
 
 def test_chain_inequalities_random():
