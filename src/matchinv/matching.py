@@ -30,9 +30,11 @@ chained 5-cycles, and up to about 9 s on the sparse G(64, p) graphs tried.
 ``match_number`` is Edmonds' augmenting-path search with blossom
 contraction (1965).  Its first matching takes every pendant edge, and a root
 whose search failed never gains an augmenting path later, so the last
-exposed vertex is not searched from; on a 2-CPU host it takes about 10 ms
-over the 298 fast graphs of the benchmark's witness pool, and 0.03 s over
-all 288 G1 witnesses at n = 64.  Measured figures are in the README, under "Limits and caveats".
+exposed vertex is not searched from.  On a 2-CPU host it takes 12 to 18 ms
+over the 298 fast graphs of the benchmark's witness pool and 0.04 to 0.05 s
+over the 288 G1 witnesses at n = 64.
+
+Measured figures are in the README, under "Limits and caveats".
 """
 
 from __future__ import annotations

@@ -69,11 +69,6 @@ def print_summary(rows, workload: str, parent: str, change: str) -> None:
               f"change better in {wins} of {pairs}")
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def archive(rev: str, into: str) -> None:
     """Write the tree of ``rev`` into the directory ``into``."""
     tar = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
@@ -108,11 +103,16 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for the quartiles")
-    seconds = f"{args.seconds:g}"
     run_args = ["--workload", args.workload, "--seed", str(args.seed),
-                "--seconds", seconds, "--trace", "0"]
+                "--seconds", f"{args.seconds:g}", "--trace", "0"]
     sides = ("parent", "change")
-    commits = [git("rev-parse", f"{rev}^{{commit}}") for rev in (args.parent, args.change)]
+    commits = []
+    for rev in (args.parent, args.change):
+        proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                              cwd=ROOT, capture_output=True, text=True, check=False)
+        if proc.returncode != 0:
+            parser.error(f"unknown revision {rev}")
+        commits.append(proc.stdout.strip())
     runs = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as parent_copy, \
             tempfile.TemporaryDirectory() as change_copy:
