@@ -28,11 +28,10 @@ most about 15 ms on a 64-cycle, on the prism ladder C3 x P21 and on twelve
 chained 5-cycles, and up to about 9 s on the sparse G(64, p) graphs tried.
 
 ``match_number`` is Edmonds' augmenting-path search with blossom
-contraction (1965).  Its first matching takes every pendant edge, and a root
-whose search failed never gains an augmenting path later, so the last
-exposed vertex is not searched from.  On a 2-CPU host it takes 12 to 18 ms
-over the 298 fast graphs of the benchmark's witness pool and 0.04 to 0.05 s
-over the 288 G1 witnesses at n = 64.
+contraction (1965).  Its first matching goes by least degree, so it matches
+each pendant vertex whose neighbour is still free, and a root whose search
+failed never gains an augmenting path later, so the last exposed vertex is
+not searched from.
 
 Measured figures are in the README, under "Limits and caveats".
 """
@@ -64,8 +63,10 @@ def _blossom_matching(n: int, adj: tuple[int, ...]) -> list[int]:
     Any first matching gives the maximum once the searches have run; a good
     one leaves few exposed vertices to search from.  This one visits the
     vertices by ascending degree and matches each free one to its free
-    neighbour of least degree, so it takes every pendant edge, as the
-    Karp-Sipser rule does (a pendant edge lies in some maximum matching).
+    neighbour of least degree, so it matches each pendant vertex whose
+    neighbour is still free; a pendant edge lies in some maximum matching.
+    Karp and Sipser take such edges by the remaining degree; this seed
+    sorts once, by the degree in G.
     A first-fit seed would pair the clique vertices of a family witness with
     each other and leave each pendant to a search through the clique.
 

@@ -19,7 +19,7 @@ def test_summary_reproduces_the_committed_medians():
     medians = {}
     for workload in bench_pairs.WORKLOADS:
         for name, a, b, spread, wins, pairs in bench_pairs.summarize(
-                parent, change, workload, better):
+                parent["runs"][workload], change["runs"][workload], better):
             assert pairs == 10 and 0 <= wins <= pairs and spread >= 0
             medians[workload, name] = (a, b)
     assert [round(x, 3) for x in medians["witness", "p90_ms"]] == [1.858, 1.854]
@@ -50,3 +50,20 @@ def test_a_correct_run_gives_its_last_line(tmp_path):
     copy = fake_benchmark(tmp_path, '{"correct": true, "metrics": {"p90_ms": 1}}')
     assert bench_pairs.run_once(copy, [], "pair 1, parent abc1234") == \
         {"correct": True, "metrics": {"p90_ms": 1}}
+
+
+def test_a_second_seed_leaves_the_seed_one_runs_alone(tmp_path):
+    path = tmp_path / "BENCH_abc1234.json"
+    path.write_text(json.dumps({"protocol": "ten pairs; a note on a key added by hand"}))
+    first = [{"correct": True, "seed": 1}]
+    bench_pairs.record(path, "abc1234", "change", "witness", 1, "seed 1 command", first)
+    bench_pairs.record(path, "abc1234", "change", "invariants", 1, "other", first)
+    held_out = [{"correct": True, "seed": 7}]
+    bench_pairs.record(path, "abc1234", "change", "witness", 7, "seed 7 command", held_out)
+    doc = json.loads(path.read_text())
+    assert doc["runs"] == {"witness": first, "invariants": first}
+    assert doc["runs_seed7"] == {"witness": held_out}
+    assert doc["commands"] == {"witness": "seed 1 command", "invariants": "other",
+                               "witness_seed7": "seed 7 command"}
+    assert doc["role"] == "change"
+    assert doc["protocol"] == "ten pairs; a note on a key added by hand"

@@ -1,7 +1,6 @@
 """Run alternating parent/change pairs of the benchmark and compare them.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W \
-        [--pairs 10] [--seed 1] [--seconds 20]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--seed 1]
 
 PARENT and CHANGE are git revisions of this repository.  Each is written
 by ``git archive`` into its own temporary directory outside the repository,
@@ -9,18 +8,21 @@ and every run is
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-in that copy; the last stdout line of a run is its result.  In pair i
-(from 1) the parent runs first when i is odd and the change runs first when
-i is even.  The tool stops with exit status 1, naming the pair, when a run
-fails or prints ``"correct": false``.
+in that copy, with T the benchmark's ``run_seconds`` from
+``BENCHMARK.json``; the last stdout line of a run is its result.  There are
+ten pairs, the fewest the protocol accepts.  In pair i (from 1) the parent
+runs first when i is odd and the change runs first when i is even.  The
+tool stops with exit status 1, naming the pair, when a run fails or prints
+``"correct": false``.
 
 The runs go into ``BENCH_<short>.json`` at the repository root, one file
-per revision, under ``runs[W]``; runs of other workloads already in the
-file are kept.  Pair i of one file matches pair i of the other.  The tool
-then prints, per end-to-end metric, both medians, the parent's quartile
-spread, and in how many pairs the change was better (ties count for
-neither side); ``BENCHMARK.json`` says which direction is better.
-Standard library only.
+per revision, under ``runs[W]`` for seed 1 and ``runs_seed<S>[W]`` for any
+other seed, so that pairs on a held-out seed leave the seed-1 runs alone;
+the file's runs under other keys, and its protocol text, are kept.  Pair i
+of one file matches pair i of the other.  The tool then prints, per end-to-end metric,
+both medians, the parent's quartile spread, and in how many pairs the
+change was better (ties count for neither side); ``BENCHMARK.json`` says
+which direction is better.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("witness", "invariants", "verify")
+PAIRS = 10
+PROTOCOL = (
+    "alternating pairs per workload, each commit run from its own git "
+    "archive of the tree; pair i (from 1) runs the parent first when i is "
+    "odd and the change first when i is even; pair i of one list matches "
+    "pair i of the other commit's file; 'runs' holds seed 1 and "
+    "'runs_seed<S>' a held-out seed S")
 
 
 def better_directions(path: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
@@ -44,13 +53,12 @@ def better_directions(path: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
     return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
 
 
-def summarize(parent: dict, change: dict, workload: str,
+def summarize(old: list[dict], new: list[dict],
               better: dict[str, str]) -> list[tuple[str, float, float, float, int, int]]:
-    """Per metric of two BENCH documents' runs of one workload:
+    """Per metric of the parent's and the change's runs of one workload:
     ``(name, parent median, change median, parent quartile spread, pairs
     where the change was better, pairs)``."""
     rows = []
-    old, new = parent["runs"][workload], change["runs"][workload]
     for name in better:
         a = [run["metrics"][name]["value"] for run in old]
         b = [run["metrics"][name]["value"] for run in new]
@@ -62,8 +70,8 @@ def summarize(parent: dict, change: dict, workload: str,
     return rows
 
 
-def print_summary(rows, workload: str, parent: str, change: str) -> None:
-    print(f"{workload}: {parent} -> {change}, medians")
+def print_summary(rows, label: str, parent: str, change: str) -> None:
+    print(f"{label}: {parent} -> {change}, medians")
     for name, a, b, spread, wins, pairs in rows:
         print(f"  {name:15} {a:12.4g} -> {b:<12.4g} parent IQR {spread:<10.3g} "
               f"change better in {wins} of {pairs}")
@@ -91,20 +99,35 @@ def run_once(copy: str, args: list[str], label: str) -> dict:
     return result
 
 
+def record(path: Path, commit: str, role: str, workload: str, seed: int,
+           command: str, runs: list[dict]) -> None:
+    """Merge one side's runs of one workload into the BENCH file at ``path``.
+
+    A protocol text already in the file is kept: it may describe keys that
+    were added by hand, such as a traced run."""
+    suffix = "" if seed == 1 else f"_seed{seed}"
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.setdefault("commands", {})[workload + suffix] = command
+    doc["commit"] = commit
+    doc["host"] = (f"{len(os.sched_getaffinity(0))}-vCPU {platform.system()}, "
+                   f"Python {platform.python_version()}")
+    doc.setdefault("protocol", PROTOCOL)
+    doc["role"] = role
+    doc.setdefault("runs" + suffix, {})[workload] = runs
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="bench_pairs.py",
                                      description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for the quartiles")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     run_args = ["--workload", args.workload, "--seed", str(args.seed),
-                "--seconds", f"{args.seconds:g}", "--trace", "0"]
+                "--seconds", f"{seconds:g}", "--trace", "0"]
     sides = ("parent", "change")
     commits = []
     for rev in (args.parent, args.change):
@@ -119,31 +142,16 @@ def main(argv: list[str]) -> int:
         copies = dict(zip(sides, (parent_copy, change_copy)))
         for side, commit in zip(sides, commits):
             archive(commit, copies[side])
-        for i in range(1, args.pairs + 1):
+        for i in range(1, PAIRS + 1):
             for side in (sides if i % 2 else sides[::-1]):
                 label = f"pair {i}, {side} {commits[sides.index(side)][:7]}"
                 print(f"{label}: running", file=sys.stderr, flush=True)
                 runs[side].append(run_once(copies[side], run_args, label))
-    docs = {}
     for side, commit in zip(sides, commits):
-        path = ROOT / f"BENCH_{commit[:7]}.json"
-        doc = json.loads(path.read_text()) if path.exists() else {}
-        doc.setdefault("commands", {})[args.workload] = (
-            "python3 perfbench/run.py " + " ".join(run_args))
-        doc["commit"] = commit
-        doc["host"] = (f"{len(os.sched_getaffinity(0))}-vCPU {platform.system()}, "
-                       f"Python {platform.python_version()}")
-        doc["protocol"] = (
-            "alternating pairs per workload, each commit run from its own git "
-            "archive of the tree; pair i (from 1) runs the parent first when i is "
-            "odd and the change first when i is even; pair i of one list matches "
-            "pair i of the other commit's file")
-        doc["role"] = side
-        doc.setdefault("runs", {})[args.workload] = runs[side]
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        docs[side] = doc
-    rows = summarize(docs["parent"], docs["change"], args.workload, better_directions())
-    print_summary(rows, args.workload, commits[0][:7], commits[1][:7])
+        record(ROOT / f"BENCH_{commit[:7]}.json", commit, side, args.workload, args.seed,
+               "python3 perfbench/run.py " + " ".join(run_args), runs[side])
+    rows = summarize(runs["parent"], runs["change"], better_directions())
+    print_summary(rows, f"{args.workload}, seed {args.seed}", commits[0][:7], commits[1][:7])
     return 0
 
 
