@@ -6,16 +6,13 @@ closed-form realizability test with witness synthesis, edge-ideal
 regularity at desk scale, and exhaustive small-n verifiers.
 """
 
-from .graph import (Graph, complete_bipartite_graph, complete_graph,
-                    connected_components, disjoint_union, from_edge_list,
-                    graph6_decode, graph6_encode, induced_subgraph, is_chordal,
-                    is_connected, is_independent_set, path_graph,
-                    s_suspension, star_graph, to_dot)
+from .graph import (Graph, disjoint_union, from_edge_list, graph6_decode,
+                    graph6_encode, is_chordal, is_connected, path_graph,
+                    s_suspension, to_dot)
 from .matching import (InvariantTriple, ind_match_number, invariant_triple,
                        match_number, min_match_number)
 from .families import (FAMILY_NAMES, FamilySpec, build_family,
-                       expected_edge_count, parse_family_spec,
-                       predict_invariants, spec_grid)
+                       parse_family_spec, predict_invariants)
 from .realizability import (REASONS, TupleQuery, WitnessReport, feasible_set,
                             is_feasible, synthesize_witness, witness_spec)
 from .regularity import RegularityResult, reduced_homology_ranks, regularity

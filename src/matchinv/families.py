@@ -182,47 +182,3 @@ def build_family(spec: FamilySpec) -> Graph:
     edges += [(y0 + i, w) for i in range(2 * b)]
     edges.append((v, w))
     return from_edge_list(spec.vertex_count(), edges, labels)
-
-
-def expected_edge_count(spec: FamilySpec) -> int:
-    """Closed-form edge count, used as a construction self-check."""
-    a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
-    clique = a * (2 * a - 1)
-    if spec.family == "G1":
-        return clique + 2 * b + c
-    if spec.family == "G2":
-        return clique + 2 * b + c + d + 2 * d + e + (2 * a + 2 * d + 2 * e)
-    return clique + b + c + (2 * a + 2 * b + 1)
-
-
-def spec_grid(max_vertices: int = 12) -> list[FamilySpec]:
-    """Small valid parameter grid across all three families.
-
-    Ranges: G1 with a <= 3, b <= a, c <= 3; G2 with a <= 2, b < a,
-    c <= 2, d <= 1, e <= 1; G3 with a <= 2, b <= 2, c <= 3; filtered to
-    the given vertex budget.
-    """
-    out: list[FamilySpec] = []
-    for a in range(1, 4):
-        for b in range(0, a + 1):
-            for c in range(0, 4):
-                spec = FamilySpec("G1", a, b, c)
-                if spec.vertex_count() <= max_vertices:
-                    out.append(spec)
-    for a in range(1, 3):
-        for b in range(0, a):
-            for c in range(1, 3):
-                for d in range(0, 2):
-                    for e in range(0, 2):
-                        if d + e < 1:
-                            continue
-                        spec = FamilySpec("G2", a, b, c, d, e)
-                        if spec.vertex_count() <= max_vertices:
-                            out.append(spec)
-    for a in range(1, 3):
-        for b in range(0, 3):
-            for c in range(1, 4):
-                spec = FamilySpec("G3", a, b, c)
-                if spec.vertex_count() <= max_vertices:
-                    out.append(spec)
-    return out

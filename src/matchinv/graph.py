@@ -35,8 +35,9 @@ def _mask_of(vertices: Iterable[int], n: int) -> int:
 class Graph:
     """Simple undirected graph with bitmask adjacency rows.
 
-    ``labels``, when present, carries one short tag per vertex (used by the
-    family builders to mark construction blocks).
+    ``labels``, when present, carries one short tag per vertex.  Only
+    ``build_family`` sets them, to mark construction blocks;
+    ``disjoint_union`` and ``s_suspension`` return unlabeled graphs.
     """
 
     n: int
@@ -67,11 +68,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -105,108 +101,51 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n, tuple(rows), lab)
 
 
-def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs at least 1 vertex")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    """Complete bipartite graph; side A is vertices 0..a-1."""
-    if a < 1 or b < 1:
-        raise ValueError("both sides need at least 1 vertex")
-    if a + b > MAX_VERTICES:
-        raise ValueError(f"vertex count {a + b} exceeds {MAX_VERTICES}")
-    amask = (1 << a) - 1
-    bmask = ((1 << (a + b)) - 1) ^ amask
-    rows = [bmask] * a + [amask] * b
-    return Graph(a + b, tuple(rows))
-
-
 def path_graph(n: int) -> Graph:
+    """Path 0-1-...-(n-1).
+
+    No package code builds paths; this stays public because the
+    benchmark's own tests (``perfbench/test_perfbench.py``) call it.
+    """
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def star_graph(leaves: int) -> Graph:
-    """Star with the center first: vertex 0 joined to 1..leaves."""
-    if leaves < 1:
-        raise ValueError("star needs at least 1 leaf")
-    return from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``, relabeled to 0..k-1 preserving order."""
-    mask = _mask_of(vertices, G.n)
-    keep = list(_bits(mask))
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        row = 0
-        for u in _bits(G.adj[v] & mask):
-            row |= 1 << pos[u]
-        rows.append(row)
-    lab = tuple(G.labels[v] for v in keep) if G.labels is not None else None
-    return Graph(len(keep), tuple(rows), lab)
-
-
 def disjoint_union(G: Graph, H: Graph) -> Graph:
-    """Disjoint union, H relabeled to start at G.n."""
-    n = G.n + H.n
-    rows = list(G.adj) + [row << G.n for row in H.adj]
-    lab = None
-    if G.labels is not None and H.labels is not None:
-        lab = G.labels + H.labels
-    return Graph(n, tuple(rows), lab)
+    """Disjoint union, H relabeled to start at G.n; the result is unlabeled."""
+    return Graph(G.n + H.n, G.adj + tuple(row << G.n for row in H.adj))
 
 
 def s_suspension(G: Graph, independent_vertices: Iterable[int]) -> Graph:
     """Add one new vertex adjacent to every vertex outside the given set.
 
-    The given set must be independent in G.  The new vertex gets index G.n.
+    The given set must be independent in G.  The new vertex gets index G.n,
+    and the result is unlabeled.
     """
     smask = _mask_of(independent_vertices, G.n)
-    if not is_independent_set(G, _bits(smask)):
+    if any(G.adj[v] & smask for v in _bits(smask)):
         raise ValueError("suspension set must be independent")
     wrow = G.vertex_mask & ~smask
     rows = [G.adj[v] | ((wrow >> v & 1) << G.n) for v in range(G.n)]
     rows.append(wrow)
-    lab = G.labels + ("w",) if G.labels is not None else None
-    return Graph(G.n + 1, tuple(rows), lab)
-
-
-def is_independent_set(G: Graph, vertices: Iterable[int]) -> bool:
-    mask = _mask_of(vertices, G.n)
-    return all(not G.adj[v] & mask for v in _bits(mask))
+    return Graph(G.n + 1, tuple(rows))
 
 
 def is_connected(G: Graph) -> bool:
-    """Connectivity; graphs with fewer than 2 vertices count as connected."""
-    return len(connected_components(G)) <= 1
+    """Connectivity by one search from vertex 0.
 
-
-def connected_components(G: Graph) -> list[int]:
-    """Vertex masks of the connected components, ordered by lowest vertex."""
-    seen = 0
-    comps = []
-    for v in range(G.n):
-        if seen >> v & 1:
-            continue
-        reach = 1 << v
-        while True:
-            grown = reach
-            for u in _bits(reach):
-                grown |= G.adj[u]
-            if grown == reach:
-                break
-            reach = grown
-        comps.append(reach)
-        seen |= reach
-    return comps
+    Graphs with fewer than 2 vertices count as connected; with n = 0 the
+    search starts from the empty mask, which is the whole vertex set.
+    """
+    reach = frontier = G.vertex_mask & 1
+    while frontier:
+        grown = reach
+        for u in _bits(frontier):
+            grown |= G.adj[u]
+        frontier = grown & ~reach
+        reach = grown
+    return reach == G.vertex_mask
 
 
 def is_chordal(G: Graph) -> bool:

@@ -2,16 +2,18 @@
 
 Everything here works from first definitions (subset enumeration,
 permutation search, one memoised recurrence) and shares no code with the
-solvers under test.
+solvers under test.  The file also holds the test shapes (complete,
+complete bipartite and star graphs), the families' closed-form edge
+count and the small family parameter grid the tests run over.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from matchinv import Graph, from_edge_list
+from matchinv import FamilySpec, Graph, from_edge_list
 
 
 def all_matchings(G: Graph) -> list[list[tuple[int, int]]]:
@@ -153,6 +155,78 @@ def random_graph(rng, n: int, density: float = 0.5) -> Graph:
              if rng.random() < density]
     return from_edge_list(n, edges)
 
+
+def all_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled graph on vertices 0..n-1."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def cycle_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return from_edge_list(n, itertools.combinations(range(n), 2))
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    """Side A is vertices 0..a-1."""
+    return from_edge_list(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """Vertex 0 joined to 1..leaves."""
+    return from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+# ---------------------------------------------------------------------------
+# the witness families: closed-form edge count and a small parameter grid
+# ---------------------------------------------------------------------------
+
+def expected_edge_count(spec: FamilySpec) -> int:
+    """Closed-form edge count of ``build_family(spec)``."""
+    a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
+    clique = a * (2 * a - 1)
+    if spec.family == "G1":
+        return clique + 2 * b + c
+    if spec.family == "G2":
+        return clique + 2 * b + c + d + 2 * d + e + (2 * a + 2 * d + 2 * e)
+    return clique + b + c + (2 * a + 2 * b + 1)
+
+
+def spec_grid(max_vertices: int = 12) -> list[FamilySpec]:
+    """Small valid parameter grid across all three families.
+
+    Ranges: G1 with a <= 3, b <= a, c <= 3; G2 with a <= 2, b < a,
+    c <= 2, d <= 1, e <= 1; G3 with a <= 2, b <= 2, c <= 3; filtered to
+    the given vertex budget.
+    """
+    out: list[FamilySpec] = []
+    for a in range(1, 4):
+        for b in range(0, a + 1):
+            for c in range(0, 4):
+                spec = FamilySpec("G1", a, b, c)
+                if spec.vertex_count() <= max_vertices:
+                    out.append(spec)
+    for a in range(1, 3):
+        for b in range(0, a):
+            for c in range(1, 3):
+                for d in range(0, 2):
+                    for e in range(0, 2):
+                        if d + e < 1:
+                            continue
+                        spec = FamilySpec("G2", a, b, c, d, e)
+                        if spec.vertex_count() <= max_vertices:
+                            out.append(spec)
+    for a in range(1, 3):
+        for b in range(0, 3):
+            for c in range(1, 4):
+                spec = FamilySpec("G3", a, b, c)
+                if spec.vertex_count() <= max_vertices:
+                    out.append(spec)
+    return out
 
 # ---------------------------------------------------------------------------
 # simplicial homology over the rationals (signed boundary matrices)

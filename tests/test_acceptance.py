@@ -15,23 +15,20 @@ from matchinv import (
     FamilySpec,
     TupleQuery,
     build_family,
-    complete_bipartite_graph,
-    complete_graph,
     connected_graph_count,
-    expected_edge_count,
     feasible_set,
     invariant_triple,
     is_connected,
     predict_invariants,
     regularity,
     scan_invariants,
-    spec_grid,
     synthesize_witness,
     verify_av,
     verify_lemma_suite,
     verify_theorem_first_main,
     verify_theorem_second_main,
 )
+from oracles import complete_bipartite_graph, complete_graph, expected_edge_count, spec_grid
 
 
 VERIFY_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" \

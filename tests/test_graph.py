@@ -1,6 +1,5 @@
 """Tests for graph construction, operations, encodings, and predicates."""
 
-import itertools
 import random
 
 import pytest
@@ -8,33 +7,18 @@ import pytest
 import oracles
 from matchinv import (
     Graph,
-    complete_bipartite_graph,
-    complete_graph,
-    connected_components,
     disjoint_union,
     from_edge_list,
     graph6_decode,
     graph6_encode,
-    induced_subgraph,
     is_chordal,
     is_connected,
-    is_independent_set,
     path_graph,
     s_suspension,
-    star_graph,
     to_dot,
 )
-
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield from_edge_list(n, [pairs[i] for i in range(len(pairs))
-                                 if mask >> i & 1])
-
-
-def cycle_graph(n):
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
+                     star_graph)
 
 
 def test_from_edge_list_basic():
@@ -42,8 +26,6 @@ def test_from_edge_list_basic():
     assert G.n == 4
     assert G.edges() == [(0, 1), (1, 2)]
     assert G.edge_count == 2
-    assert G.has_edge(1, 0)
-    assert not G.has_edge(0, 2)
     assert G.degree(1) == 2
     assert G.degree(3) == 0
     assert G.adj[1] == 0b101
@@ -73,51 +55,10 @@ def test_graph_validation():
 
 
 def test_standard_constructors():
-    K4 = complete_graph(4)
-    assert K4.edge_count == 6
-    assert all(K4.degree(v) == 3 for v in range(4))
-
-    P4 = path_graph(4)
-    assert P4.edges() == [(0, 1), (1, 2), (2, 3)]
-
-    S = star_graph(3)
-    assert S.n == 4
-    assert S.degree(0) == 3
-    assert all(S.degree(v) == 1 for v in range(1, 4))
-
-    B = complete_bipartite_graph(2, 3)
-    assert B.n == 5
-    assert B.edge_count == 6
-    assert is_independent_set(B, {0, 1})
-    assert is_independent_set(B, {2, 3, 4})
-    assert not is_independent_set(B, {0, 2})
-
+    assert path_graph(4).edges() == [(0, 1), (1, 2), (2, 3)]
     assert path_graph(1).edge_count == 0
     with pytest.raises(ValueError):
-        complete_graph(0)
-    with pytest.raises(ValueError):
-        star_graph(0)
-    with pytest.raises(ValueError):
-        complete_bipartite_graph(0, 2)
-
-
-def test_induced_subgraph():
-    K4 = complete_graph(4)
-    H = induced_subgraph(K4, [0, 2, 3])
-    assert H.n == 3
-    assert H.edge_count == 3
-
-    P4 = path_graph(4)
-    H = induced_subgraph(P4, {0, 1, 3})
-    assert H.edges() == [(0, 1)]
-
-    G = from_edge_list(3, [(0, 1)], labels=("a", "b", "c"))
-    H = induced_subgraph(G, [1, 2])
-    assert H.labels == ("b", "c")
-    assert H.edge_count == 0
-
-    with pytest.raises(ValueError):
-        induced_subgraph(P4, [0, 4])
+        path_graph(0)
 
 
 def test_disjoint_union():
@@ -127,9 +68,6 @@ def test_disjoint_union():
     assert U.n == 5
     assert U.edges() == [(0, 1), (2, 3), (3, 4)]
     assert not is_connected(U)
-    G = from_edge_list(1, [], labels=("p",))
-    H = from_edge_list(1, [], labels=("q",))
-    assert disjoint_union(G, H).labels == ("p", "q")
     with pytest.raises(ValueError):
         disjoint_union(complete_graph(40), complete_graph(30))
 
@@ -140,8 +78,6 @@ def test_s_suspension():
     assert H.n == 5
     assert H.adj[4] == 0b00110
     assert H.labels is None
-    L = from_edge_list(2, [(0, 1)], labels=("a", "b"))
-    assert s_suspension(L, set()).labels == ("a", "b", "w")
 
     two_k2 = from_edge_list(4, [(0, 1), (2, 3)])
     H = s_suspension(two_k2, [1, 3])
@@ -163,16 +99,12 @@ def test_connectivity():
     assert is_connected(complete_graph(1))
     assert is_connected(from_edge_list(0, []))
     assert not is_connected(from_edge_list(2, []))
-    for G in all_graphs(4):
-        assert is_connected(G) == oracles.connected(G)
-
-
-def test_connected_components():
-    G = from_edge_list(6, [(0, 2), (2, 4), (1, 5)])
-    comps = connected_components(G)
-    assert comps == [0b010101, 0b100010, 0b001000]
-    assert connected_components(from_edge_list(0, [])) == []
-    assert connected_components(complete_graph(3)) == [0b111]
+    for n in range(6):
+        for G in all_graphs(n):
+            assert is_connected(G) == oracles.connected(G)
+    # one 64-vertex path, then the same vertices as two 32-vertex paths
+    assert is_connected(path_graph(64))
+    assert not is_connected(disjoint_union(path_graph(32), path_graph(32)))
 
 
 def test_chordal_examples():

@@ -8,8 +8,6 @@ import oracles
 import pytest
 from matchinv import (
     InvariantTriple,
-    complete_bipartite_graph,
-    complete_graph,
     disjoint_union,
     from_edge_list,
     ind_match_number,
@@ -18,21 +16,11 @@ from matchinv import (
     min_match_number,
     path_graph,
     regularity,
-    star_graph,
 )
 from matchinv.matching import _alpha, _blossom_matching, _edge_conflicts, _min_maximal
 from matchinv.verifier import _invariant_tables
-
-
-def all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield from_edge_list(n, [pairs[i] for i in range(len(pairs))
-                                 if mask >> i & 1])
-
-
-def cycle_graph(n):
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
+                     star_graph)
 
 
 def petersen_graph():
@@ -176,8 +164,8 @@ def conflicts_by_definition(G):
     for i, (a, b) in enumerate(edges):
         for j in range(i + 1, len(edges)):
             x, y = f = edges[j]
-            if (a in f or b in f or G.has_edge(a, x) or G.has_edge(a, y)
-                    or G.has_edge(b, x) or G.has_edge(b, y)):
+            if (a in f or b in f or G.adj[a] >> x & 1 or G.adj[a] >> y & 1
+                    or G.adj[b] >> x & 1 or G.adj[b] >> y & 1):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return tuple(masks)

@@ -7,6 +7,9 @@ import system and are not checked.
 
 Importing the package and its CLI loads no numpy: only the verifiers
 need it, and they load on first use.
+
+The package's public names are pinned, so a helper that only the tests
+use cannot come back into ``src/`` unnoticed.
 """
 
 import importlib
@@ -14,6 +17,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,16 @@ def test_lazy_verifier_exports_resolve():
         assert matchinv.__getattr__(name) is getattr(verifier, name)
     with pytest.raises(AttributeError):
         getattr(matchinv, "no_such_name")
+
+
+def test_public_names_are_pinned():
+    public = sorted(name for name, value in vars(matchinv).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == [
+        "FAMILY_NAMES", "FamilySpec", "Graph", "InvariantTriple", "REASONS", "RegularityResult",
+        "TupleQuery", "WitnessReport", "build_family", "disjoint_union", "feasible_set",
+        "from_edge_list", "graph6_decode", "graph6_encode", "ind_match_number",
+        "invariant_triple", "is_chordal", "is_connected", "is_feasible", "match_number",
+        "min_match_number", "parse_family_spec", "path_graph", "predict_invariants",
+        "reduced_homology_ranks", "regularity", "s_suspension", "synthesize_witness",
+        "to_dot", "witness_spec"]

@@ -7,8 +7,6 @@ import pytest
 import oracles
 from matchinv import (
     RegularityResult,
-    complete_bipartite_graph,
-    complete_graph,
     disjoint_union,
     from_edge_list,
     graph6_encode,
@@ -21,21 +19,10 @@ from matchinv import (
     reduced_homology_ranks,
     regularity,
     scan_invariants,
-    star_graph,
     synthesize_witness,
 )
-
-
-def cycle_graph(n):
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def all_graphs(n):
-    import itertools
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield from_edge_list(n, [pairs[i] for i in range(len(pairs))
-                                 if mask >> i & 1])
+from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
+                     star_graph)
 
 
 # ---------------------------------------------------------------------------

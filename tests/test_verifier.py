@@ -21,7 +21,6 @@ from matchinv import (
     graph6_encode,
     invariant_triple,
     scan_invariants,
-    star_graph,
     verify_av,
     verify_first_main_sampled,
     verify_lemma_suite,
@@ -330,7 +329,7 @@ def test_lemma_suite_chain_catches_table_fault(monkeypatch):
     rep = verify_lemma_suite(6, samples=1, seed=0)
     chain = [(rec.graph6, rec.actual) for rec in rep.failures
              if rec.expected.startswith("ind <= min")]
-    assert chain == [(graph6_encode(star_graph(5)), "(1, 1, 3)")]
+    assert chain == [(graph6_encode(oracles.star_graph(5)), "(1, 1, 3)")]
 
 
 def test_exhaustive_checks_solve_one_graph_per_class(monkeypatch):
