@@ -17,7 +17,9 @@ realizability witnesses:
   joined to X, Y and v.  Invariants (b+2, a+b+1, a+b+1).
 
 Canonical vertex order is X, Y, Z, U, U', V, then w; built graphs carry
-per-vertex block labels.
+per-vertex block labels.  ``build_family`` fills the adjacency rows
+directly, block X as one clique mask per vertex, and hands them to
+``Graph``, which validates them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import MAX_VERTICES, Graph, from_edge_list
+from .graph import MAX_VERTICES, Graph
 from .matching import InvariantTriple
 
 FAMILY_NAMES = ("G1", "G2", "G3")
@@ -122,63 +124,74 @@ def predict_invariants(spec: FamilySpec) -> tuple[int, InvariantTriple]:
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Construct the family graph in canonical vertex order with labels."""
+    """Construct the family graph in canonical vertex order with labels.
+
+    The adjacency rows are filled directly: each clique vertex gets the
+    whole block X less itself in one mask, and every other edge goes
+    through ``join``.  The rows then pass ``Graph``'s own validation.
+    """
     a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
-    edges: list[tuple[int, int]] = []
+    n = spec.vertex_count()
+    rows = [0] * n
     labels: list[str] = []
 
-    def clique_block(start: int, size: int) -> None:
-        for i in range(start, start + size):
-            for j in range(i + 1, start + size):
-                edges.append((i, j))
+    def join(u: int, v: int) -> None:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
 
     # block X: clique on 2a vertices (all families)
-    clique_block(0, 2 * a)
+    for i in range(2 * a):
+        rows[i] = ((1 << 2 * a) - 1) ^ 1 << i
     labels += [f"x{i + 1}" for i in range(2 * a)]
     y0 = 2 * a
 
     if spec.family in ("G1", "G2"):
         # block Y: pendant y_i on x_i
-        edges += [(i, y0 + i) for i in range(2 * b)]
+        for i in range(2 * b):
+            join(i, y0 + i)
         labels += [f"y{i + 1}" for i in range(2 * b)]
         # block Z: pendants on the last clique vertex
         z0 = y0 + 2 * b
-        edges += [(2 * a - 1, z0 + i) for i in range(c)]
+        for i in range(c):
+            join(2 * a - 1, z0 + i)
         labels += [f"z{i + 1}" for i in range(c)]
         if spec.family == "G1":
-            return from_edge_list(spec.vertex_count(), edges, labels)
+            return Graph(n, tuple(rows), tuple(labels))
         # block U: perfect matching u_i -- u_{d+i}
         u0 = z0 + c
-        edges += [(u0 + i, u0 + d + i) for i in range(d)]
+        for i in range(d):
+            join(u0 + i, u0 + d + i)
         labels += [f"u{i + 1}" for i in range(2 * d)]
         # block U': pendant u'_i on every u_i
         up0 = u0 + 2 * d
-        edges += [(u0 + i, up0 + i) for i in range(2 * d)]
+        for i in range(2 * d):
+            join(u0 + i, up0 + i)
         labels += [f"u'{i + 1}" for i in range(2 * d)]
         # block V: perfect matching v_i -- v_{e+i}
         v0 = up0 + 2 * d
-        edges += [(v0 + i, v0 + e + i) for i in range(e)]
+        for i in range(e):
+            join(v0 + i, v0 + e + i)
         labels += [f"v{i + 1}" for i in range(2 * e)]
         # apex w joined to X, U and V
         w = v0 + 2 * e
-        edges += [(i, w) for i in range(2 * a)]
-        edges += [(u0 + i, w) for i in range(2 * d)]
-        edges += [(v0 + i, w) for i in range(2 * e)]
+        for i in [*range(2 * a), *range(u0, up0), *range(v0, w)]:
+            join(i, w)
         labels.append("w")
-        return from_edge_list(spec.vertex_count(), edges, labels)
+        return Graph(n, tuple(rows), tuple(labels))
 
     # G3.  Block Y: b disjoint edges y_i -- y_{b+i}.
-    edges += [(y0 + i, y0 + b + i) for i in range(b)]
+    for i in range(b):
+        join(y0 + i, y0 + b + i)
     labels += [f"y{i + 1}" for i in range(2 * b)]
     z0 = y0 + 2 * b
     v = z0 + c
     w = v + 1
     # block Z: star leaves around v
-    edges += [(v, z0 + i) for i in range(c)]
+    for i in range(c):
+        join(v, z0 + i)
     labels += [f"z{i + 1}" for i in range(c)]
     labels += ["v", "w"]
-    # apex w joined to X, Y and v
-    edges += [(i, w) for i in range(2 * a)]
-    edges += [(y0 + i, w) for i in range(2 * b)]
-    edges.append((v, w))
-    return from_edge_list(spec.vertex_count(), edges, labels)
+    # apex w joined to X, Y and v (X and Y are the first 2a + 2b vertices)
+    for i in [*range(z0), v]:
+        join(i, w)
+    return Graph(n, tuple(rows), tuple(labels))

@@ -55,7 +55,10 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
             if row >> v & 1:
                 raise ValueError(f"loop edge at vertex {v}")
-            for u in _bits(row):
+            while row:
+                low = row & -row
+                row ^= low
+                u = low.bit_length() - 1
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
         if self.labels is not None and len(self.labels) != self.n:
@@ -172,24 +175,22 @@ def is_chordal(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def graph6_encode(G: Graph) -> str:
-    """Encode in graph6: size header, then upper-triangle bits column-major."""
+    """Encode in graph6: size header, then upper-triangle bits column-major.
+
+    Above the diagonal, column ``col`` holds rows 0..col-1, which by
+    symmetry are the bits of ``adj[col]`` below ``col``; each column is
+    written as one bit string from bit 0 up.  The columns are joined,
+    padded with zeros to a multiple of 6 and cut into 6-bit characters.
+    """
     n = G.n
     if n <= 62:
         head = [n + 63]
     else:
         head = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
-    bits = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append(G.adj[row] >> col & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = val << 1 | b
-        body.append(val + 63)
+    bits = "".join(format(G.adj[col] & ~(-1 << col), f"0{col}b")[::-1]
+                   for col in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = [int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6)]
     return "".join(map(chr, head + body))
 
 

@@ -18,10 +18,13 @@ independence-number search, the larger of the bound and the exact value.
 ``_min_maximal`` uses the paper's twin-leaf and additivity lemmas, and cuts a
 node whose independence number, from ``_alpha``, is so small that every
 maximal matching, which leaves an independent set uncovered, reaches the
-bound.  ``ind_match_number`` is ``_alpha`` on the edge conflict graph, whose
-rows take a few mask ORs per edge; ``_alpha`` takes simplicial vertices at
-every node.  On a 2-CPU host every witness of every feasible tuple at n = 24,
-32, 48 and 64 is re-checked in at most 0.1 s (all 7,514 in about 35 s);
+bound.  ``ind_match_number`` is ``_alpha`` on the edge conflict graph, with
+one row per distinct edge neighbourhood S_e = N(a) | N(b): edges with equal
+S_e are true twins there, so one of them is enough and the independence
+number does not change.  The rows take a few mask ORs per kept edge;
+``_alpha`` takes simplicial vertices at every node.  On a 2-CPU host every
+witness of every feasible tuple at n = 24, 32, 48 and 64 is re-checked in
+at most 0.1 s (all 7,514 in about 35 s);
 ``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and at
 most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` takes at
 most about 15 ms on a 64-cycle, on the prism ladder C3 x P21 and on twelve
@@ -397,25 +400,35 @@ def min_match_number(G: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def _edge_conflicts(G: Graph) -> tuple[int, ...]:
-    """Adjacency rows of the edge conflict graph, in ``G.edges()`` order.
+    """Adjacency rows of the edge conflict graph, one per distinct S_e.
 
     Two edges conflict in an induced matching when they share a vertex or
     some edge of G joins their endpoints, that is, when the second meets
-    N(a) | N(b) for the first edge {a, b}.  Like ``G.adj``, a row leaves out
-    its own edge.  Built by mask ORs: one pass over the adjacency rows
-    numbers the edges in ``G.edges()`` order and fills ``incident[v]``, the
-    edges at v; a second fills ``reach[v]``, the OR of ``incident`` over
-    N(v); the row of {a, b} is then ``reach[a] | reach[b]`` less {a, b}.
+    S_e = N(a) | N(b) for the first edge e = {a, b}; S_e is N[a] | N[b],
+    as a and b are neighbours.  Edges with equal S_e are true twins in the
+    conflict graph: an independent set holds at most one of them, and
+    either can stand in for the other.  So only the first edge of each S_e
+    in ``G.edges()`` order is kept, and the independence number does not
+    change.  Like ``G.adj``, a row leaves out its own edge.  Built by mask
+    ORs: one pass over the adjacency rows numbers the kept edges and fills
+    ``incident[v]``, the kept edges at v; a second fills ``reach[v]``, the
+    OR of ``incident`` over N(v); the row of {a, b} is then
+    ``reach[a] | reach[b]`` less {a, b}.
     """
     adj = G.adj
     incident = [0] * G.n
     ends = []
+    seen = set()
     for a in range(G.n):
         upper = adj[a] >> (a + 1) << (a + 1)
         while upper:
             low = upper & -upper
             upper ^= low
             b = low.bit_length() - 1
+            key = adj[a] | adj[b]
+            if key in seen:
+                continue
+            seen.add(key)
             incident[a] |= 1 << len(ends)
             incident[b] |= 1 << len(ends)
             ends.append((a, b))
@@ -433,11 +446,12 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
 def ind_match_number(G: Graph) -> int:
     """Size of a maximum induced matching (exact).
 
-    The independence number of the edge conflict graph, by ``_alpha``.  The
-    conflict graph of G is the square of its line graph, which is chordal
-    when G is (Cameron 1989), so it always has a simplicial vertex, a
-    simplicial edge of G; on the family witnesses tried, ``_alpha``'s
-    simplicial rule leaves no branching.
+    The independence number of the edge conflict graph, by ``_alpha``, on
+    one edge per distinct S_e.  The conflict graph of G is the square of
+    its line graph, which is chordal when G is (Cameron 1989); the kept
+    edges induce a subgraph of it, which is chordal too, so it always has a
+    simplicial vertex, a simplicial edge of G; on the family witnesses
+    tried, ``_alpha``'s simplicial rule leaves no branching.
     """
     rows = _edge_conflicts(G)
     return _alpha(rows, (1 << len(rows)) - 1, 0, {})

@@ -6,6 +6,7 @@ import oracles
 from matchinv import (
     FAMILY_NAMES,
     FamilySpec,
+    Graph,
     build_family,
     invariant_triple,
     is_chordal,
@@ -130,6 +131,23 @@ def test_g3_star_block():
     assert all(G.adj[z] & star == 1 << 9 for z in (6, 7, 8))
     # apex w sees the clique, the matching block, and the star center
     assert G.adj[10] == 0b0111111111 & ~(0b111 << 6) | (1 << 9)
+
+
+def test_built_graphs_pass_graph_validation(monkeypatch):
+    # the rows are filled directly, so Graph's own checks must still run,
+    # once per build
+    calls = []
+    check = Graph.__post_init__
+
+    def counted(G):
+        calls.append(G.n)
+        check(G)
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    for spec in spec_grid(12):
+        G = build_family(spec)
+        assert type(G) is Graph
+        assert calls == [spec.vertex_count()]
+        calls.clear()
 
 
 def test_predictions_frozen():

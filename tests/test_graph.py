@@ -52,6 +52,16 @@ def test_graph_validation():
         Graph(1, (0b1,))
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b01), labels=("a",))
+    # the top bits of a 64-vertex graph: the back edge 63 -> 0 is missing,
+    # a loop at 63, and a row that mentions vertex 64
+    rows = list(complete_graph(64).adj)
+    Graph(64, tuple(rows))
+    with pytest.raises(ValueError, match="asymmetric adjacency between 0 and 63"):
+        Graph(64, (rows[0], *rows[1:63], rows[63] ^ 1))
+    with pytest.raises(ValueError, match="loop edge at vertex 63"):
+        Graph(64, (*rows[:63], rows[63] | 1 << 63))
+    with pytest.raises(ValueError, match="adjacency row 5 mentions out-of-range"):
+        Graph(64, (*rows[:5], rows[5] | 1 << 64, *rows[6:]))
 
 
 def test_standard_constructors():
@@ -138,6 +148,9 @@ def test_graph6_known_strings():
     assert graph6_encode(path_graph(2)) == "A_"
     assert graph6_encode(complete_graph(1)) == "@"
     assert graph6_encode(from_edge_list(0, [])) == "?"
+    # the long header; 1,953 bits at n = 63 end in the padded 111000, 'w'
+    assert graph6_encode(complete_graph(63)) == "~??~" + "~" * 325 + "w"
+    assert graph6_encode(complete_graph(64)) == "~?@?" + "~" * 336
     assert graph6_decode("A_").edges() == [(0, 1)]
     assert graph6_decode("@").n == 1
     assert graph6_decode("?").n == 0

@@ -150,11 +150,11 @@ def test_alpha_on_conflict_rows_is_the_larger_of_floor_and_value():
         for G in all_graphs(n):
             value = oracles.ind_match_number(G)
             rows = _edge_conflicts(G)
-            every_edge = (1 << G.edge_count) - 1
+            every_row = (1 << len(rows)) - 1
             shared = {}
             for floor in range(4):
                 for memo in ({}, shared):
-                    assert _alpha(rows, every_edge, floor, memo) == max(floor, value)
+                    assert _alpha(rows, every_row, floor, memo) == max(floor, value)
 
 
 def conflicts_by_definition(G):
@@ -172,10 +172,8 @@ def conflicts_by_definition(G):
 
 
 def test_edge_conflicts_match_the_definition():
-    # in K64 any two vertices are adjacent, so every two edges conflict
-    K64 = complete_graph(64)
-    every = (1 << K64.edge_count) - 1
-    assert _edge_conflicts(K64) == tuple(every ^ 1 << j for j in range(2016))
+    # in K64 every edge has the whole vertex set as S_e, so one row is left
+    assert _edge_conflicts(complete_graph(64)) == (0,)
     graphs = [from_edge_list(0, []), from_edge_list(1, []),
               from_edge_list(9, []), star_graph(20), cycle_graph(64),
               petersen_graph(), complete_graph(12)]
@@ -184,7 +182,15 @@ def test_edge_conflicts_match_the_definition():
         for p in (0.05, 0.15, 0.4):
             graphs.append(oracles.random_graph(rng, n, p))
     for G in graphs:
-        assert _edge_conflicts(G) == conflicts_by_definition(G)
+        # the rows are the conflicts among the first edge of each
+        # S_e = N(a) | N(b) in G.edges() order
+        S = [G.adj[a] | G.adj[b] for a, b in G.edges()]
+        kept = [j for j in range(len(S)) if S[j] not in S[:j]]
+        full = conflicts_by_definition(G)
+        assert _edge_conflicts(G) == tuple(
+            sum((full[i] >> j & 1) << k for k, j in enumerate(kept)) for i in kept)
+        # every edge left out has a kept edge with the same S_e
+        assert {S[j] for j in kept} == set(S)
 
 
 def test_alpha_is_the_larger_of_floor_and_independence_number():

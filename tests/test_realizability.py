@@ -1,6 +1,7 @@
 """Tests for the feasibility test and witness synthesis."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from matchinv import (
     FamilySpec,
     TupleQuery,
     feasible_set,
+    graph6_encode,
     invariant_triple,
     is_chordal,
     is_connected,
@@ -16,6 +18,9 @@ from matchinv import (
     synthesize_witness,
     witness_spec,
 )
+
+WITNESS_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" \
+    / "witness.jsonl"
 
 
 def test_reason_catalogue():
@@ -173,3 +178,16 @@ def test_report_json_deterministic():
     assert a == b
     parsed = json.loads(a)
     assert parsed["graph6"] == "G~C?Nk"
+
+
+def test_witness_pool_graph6_byte_for_byte():
+    # the benchmark's witness pool pins the family builder and the graph6
+    # encoder byte for byte; its 'fast' entries carry their checked triples
+    entries = [json.loads(line) for line in WITNESS_FIXTURE.read_text().splitlines()]
+    assert len(entries) == 408
+    for entry in entries:
+        rep = synthesize_witness(TupleQuery(entry["p"], entry["q"], entry["r"], entry["n"]))
+        assert graph6_encode(rep.graph) == entry["graph6"]
+        assert rep.verified.match == entry["match"]
+        if entry["class"] == "fast":
+            assert tuple(rep.verified) == (entry["p"], entry["q"], entry["r"])
