@@ -21,10 +21,11 @@ maximal matching, which leaves an independent set uncovered, reaches the
 bound.  ``ind_match_number`` is ``_alpha`` on the edge conflict graph, with
 one row per distinct edge neighbourhood S_e = N(a) | N(b): edges with equal
 S_e are true twins there, so one of them is enough and the independence
-number does not change.  The rows take a few mask ORs per kept edge;
-``_alpha`` takes simplicial vertices at every node.  On a 2-CPU host every
-witness of every feasible tuple at n = 24, 32, 48 and 64 is re-checked in
-at most 0.1 s (all 7,514 in about 35 s);
+number does not change.  The rows take one set lookup per edge and a few
+mask ORs per kept edge; ``_alpha`` takes simplicial vertices at every
+node.  On a 2-CPU host every witness of every feasible tuple at n = 24,
+32, 48 and 64 is re-checked in at most about 0.1 s (all 7,514 in 36 to
+47 s);
 ``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and at
 most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` takes at
 most about 15 ms on a 64-cycle, on the prism ladder C3 x P21 and on twelve
