@@ -195,7 +195,12 @@ def graph6_encode(G: Graph) -> str:
 
 
 def graph6_decode(text: str) -> Graph:
-    """Decode a graph6 string; strict about length and padding bits."""
+    """Decode a graph6 string; strict about length and padding bits.
+
+    The body bits, the first one as bit 0, are the pair mask that
+    ``_from_pair_mask`` turns into the graph, the routine the labeled scan
+    of :mod:`matchinv.verifier` reads its edge masks with.
+    """
     data = [ord(c) - 63 for c in text]
     if any(v < 0 or v > 63 for v in data):
         raise ValueError("invalid character in graph6 string")
@@ -217,20 +222,25 @@ def graph6_decode(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} chars, expected {need}")
-    bits = []
-    for val in body:
-        for shift in range(5, -1, -1):
-            bits.append(val >> shift & 1)
-    if any(bits[nbits:]):
+    bits = "".join(format(val, "06b") for val in body)
+    mask = int(bits[::-1] or "0", 2)  # the first body bit is bit 0
+    if mask >> nbits:
         raise ValueError("nonzero padding bits in graph6 string")
+    return _from_pair_mask(n, mask)
+
+
+def _from_pair_mask(n: int, mask: int) -> Graph:
+    """The graph on n vertices whose edges are the set bits of ``mask``,
+    numbered in graph6's pair order: bit C(j, 2) + i is the pair {i, j},
+    i < j.  Column j, bits C(j, 2) .. C(j + 1, 2) - 1, is the row of j
+    below j.  The labeled scan of :mod:`matchinv.verifier` numbers its
+    edge masks the same way, so the masks on n vertices are the first
+    2^C(n, 2) masks on n + 1."""
     rows = [0] * n
-    idx = 0
     for col in range(1, n):
-        for row in range(col):
-            if bits[idx]:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            idx += 1
+        rows[col] = low = mask >> (col * (col - 1) // 2) & ~(-1 << col)
+        for row in _bits(low):
+            rows[row] |= 1 << col
     return Graph(n, tuple(rows))
 
 

@@ -1,26 +1,33 @@
 """Exhaustive small-n verification of the realizability results.
 
 Connected labeled graphs on n <= 7 vertices are enumerated as edge
-bitmasks over the n*(n-1)/2 vertex pairs.  The three matching invariants,
-the connectivity and the vertex neighbourhoods of every edge mask,
-connected or not, fill tables by recurrences on the mask's top edge
-(``_invariant_tables``), and the connected masks are the scan.  This
-route is independent of the per-graph solvers in :mod:`matchinv.matching`
-and the two are cross-checked in the test suite; the tables are also
-checked against the brute-force oracles on every labeled graph with
-n <= 5.  The edge-mask format stays behind ``ScanResult``: the
-first-main, av and second-main checks read their graphs from the scan
-they hold (``graph(i)``) and their realized triples from ``triples()``.
-The av and second-main checks test isomorphism-invariant statements and
-decide isomorphism by ``canonical()``, the least mask over all
-relabelings: av compares the forms of its extremal graphs with those of
-K_n and K_{n/2,n/2}, and second-main takes one graph per class from
-``classes()`` (n <= 6) and counts it ``size`` times.  The forms come from
-the scan's own masks, not from a second enumeration.  The lemma suite
-reads the tables themselves, where G - v is the mask of G without the
-pairs at v: its exhaustive lemmas compare table entries with table
-entries, and only its two seeded samples call the per-graph solvers,
-against the tables.
+bitmasks over the n*(n-1)/2 vertex pairs, numbered in graph6's order:
+bit C(j, 2) + i is the pair {i, j}, i < j, and one routine of
+:mod:`matchinv.graph`, ``_from_pair_mask``, turns a mask into a graph
+for the scan and for graph6 decoding.  So the masks on n vertices are
+the first 2^C(n, 2) masks on n + 1, and joining a new vertex n to a
+vertex set S is an OR of S << C(n, 2).  The three matching invariants,
+the component of vertex 0 and the vertex neighbourhoods of every edge
+mask, connected or not, fill tables by recurrences on the mask's top
+edge (``_invariant_tables``); the tables on n vertices are the prefixes
+of those on n + 1, and the masks whose component of vertex 0 holds every
+vertex are the scan.  This route is independent of the per-graph solvers
+in :mod:`matchinv.matching` and the two are cross-checked in the test
+suite; the tables are also checked against the brute-force oracles on
+every labeled graph with n <= 5.  The edge-mask format stays behind
+``ScanResult``: the first-main, av and second-main checks read their
+graphs from the scan they hold (``graph(i)``) and their realized triples
+from ``triples()``.  The av and second-main checks test
+isomorphism-invariant statements and decide isomorphism by
+``canonical()``, the least mask over all relabelings: av compares the
+forms of its extremal graphs with those of K_n and K_{n/2,n/2}, and
+second-main takes one graph per class from ``classes()`` (n <= 6) and
+counts it ``size`` times.  The forms come from the scan's own masks, not
+from a second enumeration.  The lemma suite fills the tables once, at
+its largest n, and reads each smaller n from their prefixes, where G - v
+is the mask of G without the pairs at v: its exhaustive lemmas compare
+table entries with table entries, and only its two seeded samples call
+the per-graph solvers, against the tables.
 
 The tables are filled in the calling process, the invariant tables in
 blocks of at most ``_CHUNK`` masks.  ``scan_invariants`` is a pure
@@ -40,8 +47,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import matching as _matching
-from .graph import (Graph, _bits, disjoint_union, graph6_encode, is_chordal,
-                    is_connected, s_suspension)
+from .graph import (Graph, _bits, _from_pair_mask, disjoint_union, graph6_encode,
+                    is_chordal, is_connected, s_suspension)
 from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
 
@@ -64,38 +71,36 @@ def connected_graph_count(n: int) -> int:
 
 
 def _edge_table(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _graph_from_mask(n: int, mask: int) -> Graph:
-    table = _edge_table(n)
-    rows = [0] * n
-    for k in _bits(mask):
-        i, j = table[k]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    """The vertex pairs in graph6's order: pair {i, j}, i < j, is bit
+    C(j, 2) + i of an edge mask."""
+    return [(i, j) for j in range(n) for i in range(j)]
 
 
 def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
-    """ind, min and match numbers, connectivity and neighbourhoods of every
-    edge mask on n vertices: ``ind, minm, match, connected, nbr``.
+    """ind, min and match numbers, the component of vertex 0 and the
+    neighbourhoods of every edge mask on n vertices:
+    ``ind, minm, match, comp0, nbr``.
 
-    A mask m in [2^k, 2^(k+1)) holds edge k = {i, j} and lower edges
-    only, and each recurrence reads proper submasks without edge k, which
-    are already filled.  E(S) is the mask of the pairs inside vertex set S.
-    match: leave edge k out, or take it and match G - i - j.  min: a
-    maximal matching holds an edge f = {a, b} meeting i or j, and f plus
-    any maximal matching of G - a - b is maximal.  ind: leave vertex j
-    uncovered (deleting edge k instead could raise ind), or match j to a
-    neighbour x and recurse on G - N[j] - N[x].  The two (n, 2^C(n,2))
-    tables nbr[v] and comp[v] hold the neighbourhood and the component of
-    each vertex v; both read m' = m - 2^k only.  nbr[v][m] is nbr[v][m']
-    plus j for v = i and plus i for v = j.  Edge k joins the components of
-    i and j, so comp[v][m] is comp[i][m'] | comp[j][m'] when comp[v][m']
-    holds i or j, and comp[v][m'] otherwise; m is connected when comp[0][m]
-    holds every vertex.  For n = 1 the one mask is edgeless, with all
-    three numbers 0.
+    Edge k is the pair {i, j}, i < j, with k = C(j, 2) + i, graph6's pair
+    order (``_edge_table``).  So the masks on n vertices are the first
+    2^C(n, 2) masks on n + 1, with vertex n isolated, and each table on n
+    vertices is the prefix of the one on n + 1: ``comp0[:2^C(n, 2)]`` is
+    2^n - 1 exactly at the masks connected on n vertices.
+
+    A mask m in [2^k, 2^(k+1)) holds edge k and lower edges only, and each
+    recurrence reads proper submasks without edge k, which are already
+    filled; none depends on the pair order.  E(S) is the mask of the pairs
+    inside vertex set S.  match: leave edge k out, or take it and match
+    G - i - j.  min: a maximal matching holds an edge f = {a, b} meeting i
+    or j, and f plus any maximal matching of G - a - b is maximal.  ind:
+    leave vertex j uncovered (deleting edge k instead could raise ind), or
+    match j to a neighbour x and recurse on G - N[j] - N[x].  The two
+    (n, 2^C(n,2)) tables nbr[v] and comp[v] hold the neighbourhood and the
+    component of each vertex v; both read m' = m - 2^k only.  nbr[v][m] is
+    nbr[v][m'] plus j for v = i and plus i for v = j.  Edge k joins the
+    components of i and j, so comp[v][m] is comp[i][m'] | comp[j][m'] when
+    comp[v][m'] holds i or j, and comp[v][m'] otherwise; only comp[0] is
+    returned.  For n = 1 the one mask is edgeless, with all three numbers 0.
     """
     table = _edge_table(n)
     full = (1 << n) - 1
@@ -131,7 +136,7 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
                     peel = ind[m & inside[full ^ (nbr[j, block] | nbr[x, block])]] + 1
                     np.maximum(best, np.where(m >> e & 1, peel, 0), out=best)
             ind[block] = best
-    return ind, minm, match, comp[0] == full, nbr
+    return ind, minm, match, comp[0].copy(), nbr  # a view would keep comp alive
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class ScanResult:
 
     def graph(self, i: int) -> Graph:
         """The i-th graph of the scan."""
-        return _graph_from_mask(self.n, int(self.masks[i]))
+        return _from_pair_mask(self.n, int(self.masks[i]))
 
     def canonical(self) -> np.ndarray:
         """The least edge mask over all n! relabelings of each scan entry.
@@ -203,8 +208,8 @@ def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult
     """
     if not 2 <= n <= _SCAN_CAP:
         raise ValueError(f"exhaustive scan supports 2 <= n <= {_SCAN_CAP}")
-    ind, minm, match, connected = _invariant_tables(n)[:4]  # nbr freed here
-    masks = np.flatnonzero(connected)
+    ind, minm, match, comp0 = _invariant_tables(n)[:4]  # nbr freed here
+    masks = np.flatnonzero(comp0 == (1 << n) - 1)
     return ScanResult(n, masks, ind[masks], minm[masks], match[masks])
 
 
@@ -342,68 +347,27 @@ def verify_av(n: int) -> VerificationReport:
 def _random_graph(rng: random.Random, n: int) -> tuple[int, Graph]:
     """A uniformly random labeled graph on n vertices, with its edge mask."""
     mask = rng.getrandbits(n * (n - 1) // 2)
-    return mask, _graph_from_mask(n, mask)
-
-
-def _table_lemmas(n: int, counts: dict, failures: list[FailureRecord]
-                  ) -> tuple[np.ndarray, int]:
-    """The exhaustive lemmas on the n-vertex tables, table entry against
-    table entry: the chain on the connected masks, and for n <= 6
-    deletion and twin leaf on them.  Returns the table rows that the
-    samples read (ind, min and match for n <= 6, ind alone above) and
-    the number of graphs examined: each connected mask once for the
-    chain and, for n <= 6, once more for deletion and twin leaf."""
-    ind, minm, match, connected, nbr = _invariant_tables(n)
-    count = int(np.count_nonzero(connected))
-    counts["chain"] += count
-    bad = (ind > minm) | (minm > match) | (match > n // 2)
-    bad |= match - minm > minm  # match > 2 min; uint8 wraps only where min > match
-    bad &= connected
-    for m in np.flatnonzero(bad)[:_FAILURE_LIMIT].tolist():
-        _fail(failures, _graph_from_mask(n, m),
-              "ind <= min <= match <= 2 min and match <= n/2",
-              f"({ind[m]}, {minm[m]}, {match[m]})")
-    if n > 6:
-        return ind[None], count
-    t = np.stack((ind, minm, match))
-    counts["deletion"] += n * count
-    masks = np.flatnonzero(connected)
-    # G - v is G without the pairs at v; v stays isolated, which changes
-    # no invariant
-    rest = np.array([sum(1 << k for k, e in enumerate(_edge_table(n)) if v not in e)
-                     for v in range(n)])
-    whole, deleted = t[:, masks], t[:, masks & rest[:, None]]  # (3, M), (3, n, M)
-    adj = nbr[:, masks]  # (n, M)
-    leaf = (adj != 0) & ((adj & (adj - 1)) == 0)  # one neighbour
-    # a twin leaf shares its neighbour with another leaf
-    twin = leaf & ((leaf & (adj == adj[:, None])).sum(axis=1) > 1)
-    counts["twin_leaf"] += int(np.count_nonzero(twin))
-    for wrong, expected in (((deleted > whole[:, None]).any(axis=0),
-                             "deleting vertex {} cannot increase any invariant"),
-                            (twin & (deleted != whole[:, None]).any(axis=0),
-                             "deleting twin leaf {} preserves all invariants")):
-        for i, v in np.argwhere(wrong.T)[:_FAILURE_LIMIT].tolist():
-            _fail(failures, _graph_from_mask(n, int(masks[i])), expected.format(v),
-                  f"{tuple(whole[:, i].tolist())} -> {tuple(deleted[:, v, i].tolist())}")
-    return t, 2 * count
+    return mask, _from_pair_mask(n, mask)
 
 
 def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
                        seed: int = 0) -> VerificationReport:
     """Structural lemma checks on the edge-mask tables.
 
-    ``_invariant_tables(n)`` holds every graph on n vertices, connected or
-    not.  The chain ind <= min <= match <= 2 min and match <= n/2 is
-    checked on the connected masks up to ``n_max``.  Exhaustive over
-    connected graphs up to ``min(n_max, 6)``, comparing table entries
-    with table entries: vertex-deletion monotonicity of all three
-    invariants, and exact invariance under deleting a twin leaf, a leaf v
-    with a second leaf u on the same neighbour (nbr[u] = nbr[v]).
-    Seeded-random, comparing the per-graph solvers with the tables:
-    additivity over disjoint unions of graphs on 1..min(5, n_max)
-    vertices, and preservation of the induced matching number by
-    one-vertex suspensions, over an independent set, of graphs on
-    2..n_max vertices without isolated vertices.
+    ``_invariant_tables(n_max)`` holds every graph on n_max vertices,
+    connected or not, and its first 2^C(n, 2) entries are the graphs on
+    n vertices, so one set of tables serves every n.  The chain
+    ind <= min <= match <= 2 min and match <= n/2 is checked on the
+    connected masks up to ``n_max``.  Exhaustive over connected graphs up
+    to ``min(n_max, 6)``, comparing table entries with table entries:
+    vertex-deletion monotonicity of all three invariants, and exact
+    invariance under deleting a twin leaf, a leaf v with a second leaf u
+    on the same neighbour (nbr[u] = nbr[v]).  Seeded-random, comparing
+    the per-graph solvers with the tables: additivity over disjoint
+    unions of graphs on 1..min(5, n_max) vertices, and preservation of
+    the induced matching number by one-vertex suspensions, over an
+    independent set, of graphs on 2..n_max vertices without isolated
+    vertices.
     """
     if not 2 <= n_max <= _SCAN_CAP:
         raise ValueError(f"the lemma suite supports 2 <= n <= {_SCAN_CAP}")
@@ -414,10 +378,45 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
     examined = 2 * samples
     counts = {"deletion": 0, "twin_leaf": 0, "additivity": samples,
               "suspension": samples, "chain": 0}
-    tables = {1: np.stack(_invariant_tables(1)[:3])}  # rows ind, min, match
+    ind, minm, match, comp0, nbr = _invariant_tables(n_max)
+    low = 1 << math.comb(min(n_max, 6), 2)
+    t = np.stack((ind[:low], minm[:low], match[:low]))  # the masks on n <= 6
     for n in range(2, n_max + 1):
-        tables[n], seen = _table_lemmas(n, counts, failures)
-        examined += seen
+        size = 1 << math.comb(n, 2)
+        p, q, r = ind[:size], minm[:size], match[:size]
+        connected = comp0[:size] == (1 << n) - 1
+        count = int(np.count_nonzero(connected))
+        counts["chain"] += count
+        examined += count
+        bad = (p > q) | (q > r) | (r > n // 2)
+        bad |= r - q > q  # match > 2 min; uint8 wraps only where min > match
+        bad &= connected
+        for m in np.flatnonzero(bad)[:_FAILURE_LIMIT].tolist():
+            _fail(failures, _from_pair_mask(n, m),
+                  "ind <= min <= match <= 2 min and match <= n/2",
+                  f"({p[m]}, {q[m]}, {r[m]})")
+        if n > 6:
+            continue
+        counts["deletion"] += n * count
+        examined += count
+        masks = np.flatnonzero(connected)
+        # G - v is G without the pairs at v; v stays isolated, which changes
+        # no invariant
+        rest = np.array([sum(1 << k for k, e in enumerate(_edge_table(n)) if v not in e)
+                         for v in range(n)])
+        whole, deleted = t[:, masks], t[:, masks & rest[:, None]]  # (3, M), (3, n, M)
+        adj = nbr[:n, masks]  # (n, M)
+        leaf = (adj != 0) & ((adj & (adj - 1)) == 0)  # one neighbour
+        # a twin leaf shares its neighbour with another leaf
+        twin = leaf & ((leaf & (adj == adj[:, None])).sum(axis=1) > 1)
+        counts["twin_leaf"] += int(np.count_nonzero(twin))
+        for wrong, expected in (((deleted > whole[:, None]).any(axis=0),
+                                 "deleting vertex {} cannot increase any invariant"),
+                                (twin & (deleted != whole[:, None]).any(axis=0),
+                                 "deleting twin leaf {} preserves all invariants")):
+            for i, v in np.argwhere(wrong.T)[:_FAILURE_LIMIT].tolist():
+                _fail(failures, _from_pair_mask(n, int(masks[i])), expected.format(v),
+                      f"{tuple(whole[:, i].tolist())} -> {tuple(deleted[:, v, i].tolist())}")
 
     rng = random.Random(seed)
     for _ in range(samples):
@@ -426,7 +425,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
         a, A = _random_graph(rng, n1)
         b, B = _random_graph(rng, n2)
         U = disjoint_union(A, B)
-        sums = tuple((tables[n1][:, a] + tables[n2][:, b]).tolist())
+        sums = tuple((t[:, a] + t[:, b]).tolist())
         measured = tuple(_matching.invariant_triple(U))
         if measured != sums:
             _fail(failures, U, f"component sums {sums}", f"union measured {measured}")
@@ -445,7 +444,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
             if not G.adj[v] & smask:
                 smask |= 1 << v
         H = s_suspension(G, _bits(smask))
-        before = int(tables[n][0, mask])
+        before = int(ind[mask])
         after = _matching.ind_match_number(H)
         if before != after:
             _fail(failures, H,

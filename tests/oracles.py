@@ -103,20 +103,23 @@ def isomorphic(G: Graph, H: Graph) -> bool:
     return False
 
 
-def connected(G: Graph) -> bool:
-    if G.n <= 1:
-        return True
-    seen = {0}
-    frontier = [0]
+def component(G: Graph, v: int) -> int:
+    """The vertex mask of v's component, by search over the edge list."""
+    seen = {v}
+    frontier = [v]
     edges = G.edges()
     while frontier:
-        v = frontier.pop()
+        u = frontier.pop()
         for a, b in edges:
             for x, y in ((a, b), (b, a)):
-                if x == v and y not in seen:
+                if x == u and y not in seen:
                     seen.add(y)
                     frontier.append(y)
-    return len(seen) == G.n
+    return sum(1 << u for u in seen)
+
+
+def connected(G: Graph) -> bool:
+    return G.n <= 1 or component(G, 0) == (1 << G.n) - 1
 
 
 def chordal(G: Graph) -> bool:
@@ -157,8 +160,9 @@ def random_graph(rng, n: int, density: float = 0.5) -> Graph:
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on vertices 0..n-1."""
-    pairs = list(itertools.combinations(range(n), 2))
+    """Every labeled graph on vertices 0..n-1, by ascending edge mask, with
+    the pairs numbered as in graph6: bit C(j, 2) + i is the pair {i, j}."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
     for mask in range(1 << len(pairs)):
         yield from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 

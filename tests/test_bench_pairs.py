@@ -27,6 +27,20 @@ def test_summary_reproduces_the_committed_medians():
     assert [round(x) for x in medians["verify", "p90_ms"]] == [1671, 1432]
 
 
+def test_a_metric_that_spreads_wider_than_its_bound_is_unresolved(capsys):
+    # witness setup_s at 6975ae9: quartile spread 0.034 s on a 0.091 s
+    # median, wider than its bound 0.25 x 0.091 = 0.023 s
+    parent = json.loads((ROOT / "BENCH_6975ae9.json").read_text())["runs"]["witness"]
+    change = json.loads((ROOT / "BENCH_d235521.json").read_text())["runs"]["witness"]
+    rows = bench_pairs.summarize(parent, change, bench_pairs.better_directions())
+    bench_pairs.print_summary(rows, bench_pairs.bounds(), "witness", "6975ae9", "d235521")
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+    assert "bound 0.25 " in lines["setup_s"] and lines["setup_s"].endswith("unresolved")
+    assert "bound 0.1 " in lines["peak_rss_mb"]
+    for name in ("completed_frac", "peak_rss_mb"):
+        assert not lines[name].endswith("unresolved")
+
+
 def fake_benchmark(tmp_path, last_line, status=0):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(

@@ -1,6 +1,8 @@
 """Tests for graph construction, operations, encodings, and predicates."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +203,30 @@ def test_graph6_malformed():
         graph6_decode("AB")         # nonzero padding bits for n=2
     with pytest.raises(ValueError):
         graph6_decode("~~?@?")      # width beyond the supported cap
+
+
+def test_graph6_decode_is_strict_for_every_size():
+    for n in range(65):
+        empty = graph6_encode(Graph(n, (0,) * n))
+        head, body = (empty[:4], empty[4:]) if n > 62 else (empty[:1], empty[1:])
+        if body:  # a body one character short
+            with pytest.raises(ValueError, match="chars, expected"):
+                graph6_decode(head + body[:-1])
+        with pytest.raises(ValueError, match="chars, expected"):
+            graph6_decode(empty + "?")  # one character long
+        # the last character's low bits pad the C(n, 2) pair bits to a
+        # multiple of 6, and the graph is edgeless, so that character is
+        # 63 plus the one padding bit set
+        for bit in range(-(n * (n - 1) // 2) % 6):
+            with pytest.raises(ValueError, match="padding"):
+                graph6_decode(empty[:-1] + chr(63 + (1 << bit)))
+
+
+def test_graph6_round_trips_the_benchmark_pool():
+    path = Path(__file__).resolve().parent.parent / "perfbench/fixtures/invariants.jsonl"
+    for line in path.read_text().splitlines():
+        text = json.loads(line)["graph6"]
+        assert graph6_encode(graph6_decode(text)) == text
 
 
 def test_to_dot():

@@ -42,21 +42,34 @@ def test_connected_graph_count_frozen():
 
 
 def test_invariant_tables_match_oracle():
-    # all 1,098 labeled graphs on 2..5 vertices, disconnected ones included
+    # all 1,098 labeled graphs on 2..5 vertices, disconnected ones included;
+    # bit C(j, 2) + i of a mask is the pair {i, j}, as in graph6
     for n in range(2, 6):
-        table = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        ind, minm, match, connected, nbr = _invariant_tables(n)
-        assert ind.shape == minm.shape == match.shape == connected.shape \
+        table = [(i, j) for j in range(n) for i in range(j)]
+        ind, minm, match, comp0, nbr = _invariant_tables(n)
+        assert ind.shape == minm.shape == match.shape == comp0.shape \
             == (1 << len(table),)
         assert nbr.shape == (n, 1 << len(table))
         for mask in range(1 << len(table)):
             G = from_edge_list(n, [e for k, e in enumerate(table) if mask >> k & 1])
             assert (ind[mask], minm[mask], match[mask]) == oracles.triple(G), mask
-            assert connected[mask] == oracles.connected(G), mask
+            assert comp0[mask] == oracles.component(G, 0), mask
             assert [nbr[v][mask] for v in range(n)] == list(G.adj), mask
     # the one-vertex graph: one edgeless mask, all three numbers 0
     assert [t.tolist() for t in _invariant_tables(1)] \
-        == [[0], [0], [0], [True], [[0]]]
+        == [[0], [0], [0], [1], [[0]]]
+
+
+def test_tables_on_n_vertices_are_prefixes_of_those_on_n_plus_one():
+    # the masks on n vertices are the first 2^C(n, 2) on n + 1, with vertex
+    # n isolated, so every table entry and vertex 0's component carry over
+    bigger = _invariant_tables(2)
+    for n in range(2, 7):
+        tables, bigger = bigger, _invariant_tables(n + 1)
+        size = 1 << math.comb(n, 2)
+        for have, ext in zip(tables[:4], bigger[:4]):
+            assert np.array_equal(have, ext[:size]), n
+        assert np.array_equal(tables[4], bigger[4][:n, :size]), n
 
 
 def test_enumerate_connected_order():
@@ -116,8 +129,18 @@ def test_scan_agrees_with_solvers_sampled():
                 == tuple(invariant_triple(G))
 
 
+def test_scan_masks_are_graph6_body_bits():
+    # graph6 writes pair {i, j} as body bit C(j, 2) + i, the scan's numbering
+    for n in range(2, 6):
+        scan = scan_invariants(n)
+        for i in range(scan.count):
+            body = graph6_encode(scan.graph(i))[1:]
+            bits = "".join(format(ord(c) - 63, "06b") for c in body)
+            assert int(bits[::-1], 2) == scan.masks[i], (n, i)
+
+
 def _relabeled_mask(G, perm):
-    table = [(i, j) for i in range(G.n) for j in range(i + 1, G.n)]
+    table = [(i, j) for j in range(G.n) for i in range(j)]
     return sum(1 << table.index(tuple(sorted((perm[u], perm[v]))))
                for u, v in G.edges())
 
@@ -213,7 +236,7 @@ def _skew_min(monkeypatch, n, masks, value):
 def test_av_catches_extremal_graph_of_another_shape(monkeypatch):
     # min 3 on the 15 labeled K_6 - e, whose min match is 2: one record
     # each, in ascending mask order (the missing pair descending)
-    table = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    table = [(i, j) for j in range(6) for i in range(j)]
     full = (1 << 15) - 1
     _skew_min(monkeypatch, 6, [full ^ 1 << k for k in range(15)], 3)
     rep = verify_av(6)
@@ -233,7 +256,7 @@ def test_av_catches_extremal_graph_of_another_shape(monkeypatch):
 
 def test_av_catches_missing_target(monkeypatch):
     # min 2 on the 10 labeled K_{3,3}: vertex 0 and two of 1..5 on one side
-    table = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    table = [(i, j) for j in range(6) for i in range(j)]
     sides = [{0, *pair} for pair in itertools.combinations(range(1, 6), 2)]
     _skew_min(monkeypatch, 6, [sum(1 << k for k, (i, j) in enumerate(table)
                                    if (i in side) != (j in side))
@@ -285,13 +308,13 @@ def test_lemma_suite_catches_broken_solver(monkeypatch):
 
 
 def test_lemma_suite_catches_one_class_fault(monkeypatch):
-    # one table entry is wrong: match + 1 for the path 0-1-2-3 plus the
-    # isolated vertex 4.  Its 15 connected deletion parents (vertex 4
-    # joined to any nonempty subset of 0..3) and its 2 twin-leaf parents
-    # (vertex 4 hung on 1 or on 2) must show it.
+    # one table entry is wrong: match + 1 for the path 0-1-2-3, which is
+    # the same mask on 4 vertices and, with vertex 4 isolated, on 5.  On 5
+    # vertices its 15 connected deletion parents (vertex 4 joined to any
+    # nonempty subset of 0..3) and its 2 twin-leaf parents (vertex 4 hung
+    # on 1 or on 2) must show it; on 4 the chain excludes (1, 1, 3).
     real = matchinv.verifier._invariant_tables
-    table = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    path = sum(1 << table.index(e) for e in ((0, 1), (1, 2), (2, 3)))
+    path = sum(1 << math.comb(j, 2) + i for i, j in ((0, 1), (1, 2), (2, 3)))
 
     def skewed(n):
         tables = real(n)
@@ -302,10 +325,14 @@ def test_lemma_suite_catches_one_class_fault(monkeypatch):
     monkeypatch.setattr(matchinv.verifier, "_invariant_tables", skewed)
     rep = verify_lemma_suite(5, samples=1, seed=0)
     assert not rep.passed
-    assert len(rep.failures) == 17
-    expected = [rec.expected.split(" ")[1] for rec in rep.failures]
+    assert len(rep.failures) == 18
+    chain, *parents = rep.failures
+    G = graph6_decode(chain.graph6)
+    assert G.n == 4 and G.edges() == [(0, 1), (1, 2), (2, 3)]
+    assert chain.expected.startswith("ind <= min") and chain.actual == "(1, 1, 3)"
+    expected = [rec.expected.split(" ")[1] for rec in parents]
     assert expected.count("vertex") == 15 and expected.count("twin") == 2
-    for rec in rep.failures:
+    for rec in parents:
         G = graph6_decode(rec.graph6)  # failures point at a decodable graph
         assert G.adj[4] and [e for e in G.edges() if 4 not in e] \
             == [(0, 1), (1, 2), (2, 3)]
@@ -315,14 +342,16 @@ def test_lemma_suite_catches_one_class_fault(monkeypatch):
 
 
 def test_lemma_suite_chain_catches_table_fault(monkeypatch):
-    # match 3 for the star centred at 0 on 6 vertices (pairs 0..4 of the
-    # edge table): of the chain, only match <= 2 min excludes (1, 1, 3)
+    # match 3 for the star centred at 0 on 6 vertices (pairs {0, j}, bits
+    # C(j, 2) = 0, 1, 3, 6 and 10): of the chain, only match <= 2 min
+    # excludes (1, 1, 3)
     real = matchinv.verifier._invariant_tables
+    star = sum(1 << math.comb(j, 2) for j in range(1, 6))
 
     def skewed(n):
         tables = real(n)
         if n == 6:
-            tables[2][0b11111] = 3
+            tables[2][star] = 3
         return tables
 
     monkeypatch.setattr(matchinv.verifier, "_invariant_tables", skewed)

@@ -20,9 +20,11 @@ per revision, under ``runs[W]`` for seed 1 and ``runs_seed<S>[W]`` for any
 other seed, so that pairs on a held-out seed leave the seed-1 runs alone;
 the file's runs under other keys, and its protocol text, are kept.  Pair i
 of one file matches pair i of the other.  The tool then prints, per end-to-end metric,
-both medians, the parent's quartile spread, and in how many pairs the
-change was better (ties count for neither side); ``BENCHMARK.json`` says
-which direction is better.  Standard library only.
+both medians, the metric's bound, the parent's quartile spread, and in
+how many pairs the change was better (ties count for neither side), and
+marks the metric ``unresolved`` when that spread exceeds bound x parent
+median; ``BENCHMARK.json`` says which direction is better and gives the
+bound.  Standard library only.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ def better_directions(path: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
     return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
 
 
+def bounds(path: Path = ROOT / "BENCHMARK.json") -> dict[str, float]:
+    """End-to-end metric name -> the largest change, as a fraction of the
+    parent's median, that still counts as no regression."""
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
 def summarize(old: list[dict], new: list[dict],
               better: dict[str, str]) -> list[tuple[str, float, float, float, int, int]]:
     """Per metric of the parent's and the change's runs of one workload:
@@ -70,11 +78,17 @@ def summarize(old: list[dict], new: list[dict],
     return rows
 
 
-def print_summary(rows, label: str, parent: str, change: str) -> None:
+def print_summary(rows, bound: dict[str, float], label: str, parent: str,
+                  change: str) -> None:
+    """One line per metric.  A metric whose parent runs spread wider than
+    its bound allows (quartile spread above bound x parent median) is
+    marked ``unresolved``: its pairs can show neither a gain nor a
+    regression within the bound."""
     print(f"{label}: {parent} -> {change}, medians")
     for name, a, b, spread, wins, pairs in rows:
-        print(f"  {name:15} {a:12.4g} -> {b:<12.4g} parent IQR {spread:<10.3g} "
-              f"change better in {wins} of {pairs}")
+        flag = "  unresolved" if spread > bound[name] * abs(a) else ""
+        print(f"  {name:15} {a:12.4g} -> {b:<12.4g} bound {bound[name]:<6g} "
+              f"parent IQR {spread:<10.3g} change better in {wins} of {pairs}{flag}")
 
 
 def archive(rev: str, into: str) -> None:
@@ -151,7 +165,8 @@ def main(argv: list[str]) -> int:
         record(ROOT / f"BENCH_{commit[:7]}.json", commit, side, args.workload, args.seed,
                "python3 perfbench/run.py " + " ".join(run_args), runs[side])
     rows = summarize(runs["parent"], runs["change"], better_directions())
-    print_summary(rows, f"{args.workload}, seed {args.seed}", commits[0][:7], commits[1][:7])
+    print_summary(rows, bounds(), f"{args.workload}, seed {args.seed}", commits[0][:7],
+                  commits[1][:7])
     return 0
 
 
