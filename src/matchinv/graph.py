@@ -229,19 +229,30 @@ def graph6_decode(text: str) -> Graph:
     return _from_pair_mask(n, mask)
 
 
-def _from_pair_mask(n: int, mask: int) -> Graph:
-    """The graph on n vertices whose edges are the set bits of ``mask``,
-    numbered in graph6's pair order: bit C(j, 2) + i is the pair {i, j},
-    i < j.  Column j, bits C(j, 2) .. C(j + 1, 2) - 1, is the row of j
-    below j.  The labeled scan of :mod:`matchinv.verifier` numbers its
-    edge masks the same way, so the masks on n vertices are the first
-    2^C(n, 2) masks on n + 1."""
+def _edge_table(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs in graph6's order: pair {i, j}, i < j, is bit
+    C(j, 2) + i of an edge mask."""
+    return [(i, j) for j in range(n) for i in range(j)]
+
+
+def _pair_rows(n: int, mask: int) -> tuple[int, ...]:
+    """The adjacency rows of the n-vertex graph whose edges are the set
+    bits of ``mask``, numbered in graph6's pair order (``_edge_table``).
+    Column j, bits C(j, 2) .. C(j + 1, 2) - 1, is the row of j below j.
+    The rows are not validated."""
     rows = [0] * n
     for col in range(1, n):
         rows[col] = low = mask >> (col * (col - 1) // 2) & ~(-1 << col)
         for row in _bits(low):
             rows[row] |= 1 << col
-    return Graph(n, tuple(rows))
+    return tuple(rows)
+
+
+def _from_pair_mask(n: int, mask: int) -> Graph:
+    """The graph of ``_pair_rows(n, mask)``.  The labeled scan of
+    :mod:`matchinv.verifier` numbers its edge masks the same way, so the
+    masks on n vertices are the first 2^C(n, 2) masks on n + 1."""
+    return Graph(n, _pair_rows(n, mask))
 
 
 def to_dot(G: Graph) -> str:

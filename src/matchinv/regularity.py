@@ -97,15 +97,19 @@ def regularity(G: Graph) -> RegularityResult:
 
     One pass over W = 1 .. 2^n - 1 fills alpha[W] = alpha(G[W]) by
     alpha[W] = max(alpha[W - v], 1 + alpha[W - N[v]]) for the lowest v,
-    and collects W as a face when alpha[W] = |W|.  A subset W is skipped
+    and collects W as a face when alpha[W] = |W|.  The same pass fills
+    common[W] = common[W - v] & N(v), the vertices adjacent to every
+    vertex of W (common[0] is every vertex).  A subset W is skipped
     without building its complex when either
 
     * alpha[W] <= best: homology in dimension d - 1 needs a face with
       d vertices;
     * G[W] has non-adjacent u != v with N(u) & W inside N(v): by the
       fold lemma (Engstrom 2008) Ind(G[W]) is homotopy equivalent to
-      Ind(G[W - v]), a smaller mask the scan has already seen.  An
-      isolated u is the case N(u) & W empty.
+      Ind(G[W - v]), a smaller mask the scan has already seen.  Such a
+      v is a vertex of W - N[u] in common[N(u) & W], so the test is one
+      AND per u in W; N(u) & W is a proper subset of W, already filled.
+      An isolated u is the case N(u) & W empty.
 
     Neither skip can pass over the first W, in ascending mask order, that
     reaches the maximum, so that W is the witness.
@@ -113,24 +117,28 @@ def regularity(G: Graph) -> RegularityResult:
     if G.n > _REG_CAP:
         raise ValueError(f"regularity computation capped at {_REG_CAP} vertices")
     adj = G.adj
-    # W folds on (u, v) when it holds both and misses N(u) - N(v)
-    folds = [((1 << u) | (1 << v), adj[u] & ~adj[v])
-             for u in range(G.n) for v in range(G.n)
-             if u != v and not adj[u] >> v & 1]
+    far = [~(row | 1 << u) for u, row in enumerate(adj)]  # outside N[u]
     alpha = bytearray(1 << G.n)
+    common = [(1 << G.n) - 1] * (1 << G.n)  # common[S]: adjacent to all of S
     faces = [0]
     best, best_w = 0, 0
     for w in range(1, 1 << G.n):
         low = w & -w
         rest = w ^ low
-        a = alpha[w] = max(alpha[rest], 1 + alpha[rest & ~adj[low.bit_length() - 1]])
+        v = low.bit_length() - 1
+        common[w] = common[rest] & adj[v]
+        a = alpha[w] = max(alpha[rest], 1 + alpha[rest & ~adj[v]])
         if a == w.bit_count():
             faces.append(w)
-        if a <= best or any(w & uv == uv and not w & miss for uv, miss in folds):
+        if a <= best:
             continue
-        ranks = reduced_homology_ranks([s for s in faces if not s & ~w])
-        for d in range(len(ranks) - 1, best, -1):
-            if ranks[d]:
-                best, best_w = d, w
-                break
+        for u in range(G.n):
+            if w >> u & 1 and w & far[u] & common[adj[u] & w]:
+                break  # W folds on u and some v in W outside N[u]
+        else:
+            ranks = reduced_homology_ranks([s for s in faces if not s & ~w])
+            for d in range(len(ranks) - 1, best, -1):
+                if ranks[d]:
+                    best, best_w = d, w
+                    break
     return RegularityResult(best, tuple(_bits(best_w)), best)

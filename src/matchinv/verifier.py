@@ -2,9 +2,10 @@
 
 Connected labeled graphs on n <= 7 vertices are enumerated as edge
 bitmasks over the n*(n-1)/2 vertex pairs, numbered in graph6's order:
-bit C(j, 2) + i is the pair {i, j}, i < j, and one routine of
-:mod:`matchinv.graph`, ``_from_pair_mask``, turns a mask into a graph
-for the scan and for graph6 decoding.  So the masks on n vertices are
+bit C(j, 2) + i is the pair {i, j}, i < j.  Only :mod:`matchinv.graph`
+writes that order down: ``_edge_table`` lists the pairs, and
+``_pair_rows`` turns a mask into adjacency rows for the scan, the lemma
+samples and graph6 decoding.  So the masks on n vertices are
 the first 2^C(n, 2) masks on n + 1, and joining a new vertex n to a
 vertex set S is an OR of S << C(n, 2).  The three matching invariants,
 the component of vertex 0 and the vertex neighbourhoods of every edge
@@ -47,13 +48,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import matching as _matching
-from .graph import (Graph, _bits, _from_pair_mask, disjoint_union, graph6_encode,
+from .graph import (Graph, _bits, _edge_table, _from_pair_mask, _pair_rows, graph6_encode,
                     is_chordal, is_connected, s_suspension)
 from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
 
 _SCAN_CAP = 7
-_CHUNK = 1 << 18
+_CHUNK = 1 << 15  # masks per block; small blocks keep the temporaries small
 
 
 def connected_graph_count(n: int) -> int:
@@ -70,10 +71,19 @@ def connected_graph_count(n: int) -> int:
     return counts[n]
 
 
-def _edge_table(n: int) -> list[tuple[int, int]]:
-    """The vertex pairs in graph6's order: pair {i, j}, i < j, is bit
-    C(j, 2) + i of an edge mask."""
-    return [(i, j) for j in range(n) for i in range(j)]
+def _holding(block: np.ndarray, lo: int, e: int) -> np.ndarray:
+    """The entries of ``block`` whose edge mask holds edge e, as a view.
+
+    ``block`` stands for the masks lo, lo + 1, ..., a power-of-two count
+    of them with lo a multiple of that count.  When 2^e is less than the
+    count, bit e alternates in runs of 2^e, and the masks holding edge e
+    are the ``[:, 1]`` slice of the block reshaped to (-1, 2, 2^e).
+    Otherwise bit e is that of lo throughout: the view is the whole block
+    or none of it.
+    """
+    if 1 << e >= block.shape[0]:
+        return block if lo >> e & 1 else block[:0]
+    return block.reshape(-1, 2, 1 << e)[:, 1]
 
 
 def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
@@ -101,6 +111,15 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     components of i and j, so comp[v][m] is comp[i][m'] | comp[j][m'] when
     comp[v][m'] holds i or j, and comp[v][m'] otherwise; only comp[0] is
     returned.  For n = 1 the one mask is edgeless, with all three numbers 0.
+
+    The masks with top edge k are filled in aligned blocks of at most
+    ``_CHUNK``, each written in place.  min and ind take, over the edges
+    e <= k that meet {i, j} (for ind, that meet j), the least or greatest
+    peel among the masks that hold e.  ``_holding`` gives those masks as
+    a strided view of the block, and each gather and ``np.minimum`` or
+    ``np.maximum`` runs on that view only.  When 2^e is at least the
+    block, bit e is the same for the whole block, as for e = k or, at
+    n = 7, for e >= 15: the block then takes all of edge e or none of it.
     """
     table = _edge_table(n)
     full = (1 << n) - 1
@@ -123,19 +142,19 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
             block = slice(lo, lo + m.shape[0])
             match[block] = np.maximum(match[m ^ 1 << k],
                                       match[m & inside[full ^ 1 << i ^ 1 << j]] + 1)
-            best = np.full(m.shape, 255, dtype=np.uint8)
+            best = minm[block]
+            best.fill(255)
             for e, (a, b) in enumerate(table[:k + 1]):
                 if {a, b} & {i, j}:
-                    peel = minm[m & inside[full ^ 1 << a ^ 1 << b]] + 1
-                    np.minimum(best, np.where(m >> e & 1, peel, 255), out=best)
-            minm[block] = best
-            best = ind[m & inside[full ^ 1 << j]]
+                    held, sub = _holding(best, lo, e), _holding(m, lo, e)
+                    np.minimum(held, minm[sub & inside[full ^ 1 << a ^ 1 << b]] + 1, out=held)
+            ind[block] = ind[m & inside[full ^ 1 << j]]
+            best = ind[block]
             for e, (a, b) in enumerate(table[:k + 1]):
                 if j in (a, b):
-                    x = a + b - j
-                    peel = ind[m & inside[full ^ (nbr[j, block] | nbr[x, block])]] + 1
-                    np.maximum(best, np.where(m >> e & 1, peel, 0), out=best)
-            ind[block] = best
+                    held, sub = _holding(best, lo, e), _holding(m, lo, e)
+                    near = _holding(nbr[j, block], lo, e) | _holding(nbr[a + b - j, block], lo, e)
+                    np.maximum(held, ind[sub & inside[full ^ near]] + 1, out=held)
     return ind, minm, match, comp[0].copy(), nbr  # a view would keep comp alive
 
 
@@ -266,6 +285,7 @@ class VerificationReport:
 
 
 _FAILURE_LIMIT = 100
+_DRAWS = 100  # suspension draws per sample before it counts as failed
 
 
 def _fail(failures: list[FailureRecord], G: Graph | None,
@@ -344,10 +364,9 @@ def verify_av(n: int) -> VerificationReport:
         elapsed=time.perf_counter() - t0)
 
 
-def _random_graph(rng: random.Random, n: int) -> tuple[int, Graph]:
-    """A uniformly random labeled graph on n vertices, with its edge mask."""
-    mask = rng.getrandbits(n * (n - 1) // 2)
-    return mask, _from_pair_mask(n, mask)
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    """A uniformly random labeled graph on n vertices."""
+    return _from_pair_mask(n, rng.getrandbits(math.comb(n, 2)))
 
 
 def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
@@ -367,7 +386,9 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
     unions of graphs on 1..min(5, n_max) vertices, and preservation of
     the induced matching number by one-vertex suspensions, over an
     independent set, of graphs on 2..n_max vertices without isolated
-    vertices.
+    vertices.  The samples are drawn as edge masks and checked on their
+    rows, so each builds one ``Graph`` for the solvers; a suspension sample
+    whose ``_DRAWS`` draws all have an isolated vertex is one failure.
     """
     if not 2 <= n_max <= _SCAN_CAP:
         raise ValueError(f"the lemma suite supports 2 <= n <= {_SCAN_CAP}")
@@ -419,29 +440,35 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
                       f"{tuple(whole[:, i].tolist())} -> {tuple(deleted[:, v, i].tolist())}")
 
     rng = random.Random(seed)
+    sums_of = t[:, :1 << 10].T.tolist()  # the triples of the masks on n <= 5
     for _ in range(samples):
         n1 = rng.randint(1, min(5, n_max))
         n2 = rng.randint(1, min(5, n_max))
-        a, A = _random_graph(rng, n1)
-        b, B = _random_graph(rng, n2)
-        U = disjoint_union(A, B)
-        sums = tuple((t[:, a] + t[:, b]).tolist())
+        a = rng.getrandbits(math.comb(n1, 2))
+        b = rng.getrandbits(math.comb(n2, 2))
+        U = Graph(n1 + n2, _pair_rows(n1, a) + tuple(row << n1 for row in _pair_rows(n2, b)))
+        sums = tuple(x + y for x, y in zip(sums_of[a], sums_of[b]))
         measured = tuple(_matching.invariant_triple(U))
         if measured != sums:
             _fail(failures, U, f"component sums {sums}", f"union measured {measured}")
 
     for _ in range(samples):
-        while True:
+        for _ in range(_DRAWS):
             n = rng.randint(2, n_max)
-            mask, G = _random_graph(rng, n)
-            # the suspension lemma assumes no isolated vertices
-            if all(G.degree(v) > 0 for v in range(n)):
+            mask = rng.getrandbits(math.comb(n, 2))
+            rows = _pair_rows(n, mask)
+            if all(rows):  # the suspension lemma assumes no isolated vertices
                 break
+        else:
+            _fail(failures, None, f"a graph without isolated vertices in {_DRAWS} draws",
+                  f"vertex {rows.index(0)} of {n} isolated in the last draw")
+            continue
+        G = Graph(n, rows)
         order = list(range(n))
         rng.shuffle(order)
         smask = 0
         for v in order[:rng.randint(0, n)]:
-            if not G.adj[v] & smask:
+            if not rows[v] & smask:
                 smask |= 1 << v
         H = s_suspension(G, _bits(smask))
         before = int(ind[mask])
@@ -536,7 +563,7 @@ def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationRepo
     failures: list[FailureRecord] = []
     connected = 0
     for _ in range(count):
-        _, G = _random_graph(rng, n)
+        G = _random_graph(rng, n)
         if not is_connected(G):
             continue
         connected += 1

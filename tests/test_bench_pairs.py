@@ -81,3 +81,41 @@ def test_a_second_seed_leaves_the_seed_one_runs_alone(tmp_path):
                                "witness_seed7": "seed 7 command"}
     assert doc["role"] == "change"
     assert doc["protocol"] == "ten pairs; a note on a key added by hand"
+
+
+VERIFY_STDOUT = """\
+[verify] attempted 3889213, deadline hits 0, wrong 0, failed_frac 0.0000
+[verify]   first_main_s = 0.5478 s
+[verify]   av_s = 0.3164 s
+[verify]   lemmas_s = 1.1611 s
+[verify]   second_main_s = 0.3540 s
+[verify]   setup_s = 0.111115 s
+[verify]   ops_per_s = 1.63458e+06 1/s
+[verify]   p90_ms = 1082.81 ms
+[verify]   peak_rss_mb = 72.1562 MB
+"""
+
+
+def test_per_check_seconds_are_read_from_the_check_lines():
+    metrics = {"setup_s": {}, "ops_per_s": {}, "p90_ms": {}, "peak_rss_mb": {}}
+    assert bench_pairs.per_check_seconds(VERIFY_STDOUT, metrics) == {
+        "first_main": 0.5478, "av": 0.3164, "lemmas": 1.1611, "second_main": 0.354}
+    assert bench_pairs.per_check_seconds("[witness]   p90_ms = 1.2 ms\n", metrics) == {}
+
+
+def test_a_verify_run_keeps_its_per_check_seconds(tmp_path, capsys):
+    last = '{"correct": true, "metrics": {"setup_s": {"value": 0.1, "unit": "s"}}}'
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"print({VERIFY_STDOUT!r}, end='')\nprint({last!r})\n")
+    run = bench_pairs.run_once(str(tmp_path), [], "pair 1, parent abc1234")
+    assert run["per_check_s"]["lemmas"] == 1.1611 and "setup_s" not in run["per_check_s"]
+    faster = {**run, "per_check_s": {**run["per_check_s"], "lemmas": 0.9}}
+    bench_pairs.print_checks([run, run, run], [faster, run, faster])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == \
+        ["first_main_s", "av_s", "lemmas_s", "second_main_s"]
+    assert lines[2].split()[2:5] == ["1.1611", "->", "0.9000"]
+    # runs stored before the per-check seconds were kept print nothing
+    bench_pairs.print_checks([{"metrics": {}}], [run])
+    assert capsys.readouterr().out == ""

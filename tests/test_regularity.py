@@ -169,6 +169,16 @@ def test_regularity_witness_matches_rational_scan():
     graphs = [G for n in range(1, 6) for G in all_graphs(n)]
     rng = random.Random(27)
     graphs += [oracles.random_graph(rng, n) for n in (6, 6, 7, 7, 8, 8)]
+    # graphs whose whole vertex set folds: cycles with isolated vertices,
+    # true twins (N[u] = N[v]) or false twins (N(u) = N(v)) added
+    c5, c6, c7 = (cycle_graph(n).edges() for n in (5, 6, 7))
+    graphs += [
+        from_edge_list(6, c5),  # an isolated vertex
+        from_edge_list(7, c6 + [(6, 1), (6, 5)]),  # a false twin of 0
+        from_edge_list(8, c5 + [(5, 0), (5, 1), (5, 4)]),  # a true twin of 0, two isolated
+        from_edge_list(8, c7 + [(7, 2), (7, 4)]),  # a false twin of 3
+        from_edge_list(8, c6 + [(6, 0), (6, 1), (6, 5), (7, 2), (7, 4)]),  # one of each twin
+    ]
     for G in graphs:
         res = regularity(G)
         assert (res.reg, res.witness_subset) == _first_reaching_subset(G)

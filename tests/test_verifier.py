@@ -361,6 +361,128 @@ def test_lemma_suite_chain_catches_table_fault(monkeypatch):
     assert chain == [(graph6_encode(oracles.star_graph(5)), "(1, 1, 3)")]
 
 
+# The failure records of verify_lemma_suite(7, samples=30, seed=0) when
+# every solver answer is one too high, in report order: the 30 additivity
+# samples with their component sums, then the 30 suspension samples with
+# the induced matching number the tables give.  They were taken while the
+# samples were still drawn as Graph objects, one _random_graph call per
+# draw, so they pin the random stream and the sampled graphs.
+_ADDITIVITY_RECORDS = [
+    ('GO???G', (2, 2, 2)),
+    ('H]W??GF', (2, 3, 4)),
+    ('FOCGG', (2, 2, 3)),
+    ('F??GO', (1, 1, 1)),
+    ('B_', (1, 1, 1)),
+    ('Gw?OOs', (3, 3, 3)),
+    ('FnG??', (1, 2, 2)),
+    ('CI', (1, 1, 1)),
+    ('ETg?', (1, 1, 2)),
+    ('Fx?GG', (2, 2, 3)),
+    ('F@C@o', (1, 1, 2)),
+    ('G~???K', (2, 3, 3)),
+    ('E}_?', (1, 1, 2)),
+    ('Dx?', (1, 1, 2)),
+    ('F{?GG', (2, 2, 3)),
+    ('C_', (1, 1, 1)),
+    ('FJo?G', (3, 3, 3)),
+    ('F@Cp?', (1, 1, 2)),
+    ('CJ', (1, 1, 1)),
+    ('H|_?GGA', (2, 2, 4)),
+    ('Gqs???', (1, 2, 2)),
+    ('GOk?GK', (2, 2, 3)),
+    ('FU{?G', (2, 3, 3)),
+    ('Iec??K@?O', (2, 2, 3)),
+    ('DX?', (1, 1, 1)),
+    ('FH?G?', (2, 2, 2)),
+    ('D_C', (2, 2, 2)),
+    ('B_', (1, 1, 1)),
+    ('F?CG?', (1, 1, 1)),
+    ('C_', (1, 1, 1)),
+]
+
+
+_SUSPENSION_RECORDS = [
+    ('Bg', 1),
+    ('FwkRW', 2),
+    ('DM{', 1),
+    ('Dxw', 1),
+    ('GybSUK', 2),
+    ('C^', 1),
+    ('FlGlO', 2),
+    ('FQnDg', 2),
+    ('Cm', 1),
+    ('Gz^e\\{', 2),
+    ('Bg', 1),
+    ('EFOW', 1),
+    ('EKow', 2),
+    ('Cn', 1),
+    ('Bg', 1),
+    ('EfTo', 1),
+    ('Gp]?Uo', 2),
+    ('GEeyBw', 2),
+    ('GqVzRW', 2),
+    ('GdsIt[', 1),
+    ('Ci', 1),
+    ('GvPPMk', 2),
+    ('GG|Aao', 1),
+    ('Djs', 1),
+    ('Fl~yw', 1),
+    ('Bo', 1),
+    ('Bo', 1),
+    ('DLS', 1),
+    ('G`ddF_', 2),
+    ('Bo', 1),
+]
+
+
+def test_lemma_samples_keep_their_random_stream(monkeypatch):
+    real_triple = matchinv.matching.invariant_triple
+    real_ind = matchinv.matching.ind_match_number
+
+    def skewed_triple(G):
+        t = real_triple(G)  # ind_match is already one too high, below
+        return InvariantTriple(t.ind_match, t.min_match + 1, t.match + 1)
+
+    monkeypatch.setattr(matchinv.matching, "invariant_triple", skewed_triple)
+    monkeypatch.setattr(matchinv.matching, "ind_match_number", lambda G: real_ind(G) + 1)
+    rep = verify_lemma_suite(7, samples=30, seed=0)
+    want = [(g6, f"component sums {sums}",
+             f"union measured {tuple(x + 1 for x in sums)}")
+            for g6, sums in _ADDITIVITY_RECORDS]
+    want += [(g6, f"suspension keeps induced matching number {ind}", f"measured {ind + 1}")
+             for g6, ind in _SUSPENSION_RECORDS]
+    assert [(r.graph6, r.expected, r.actual) for r in rep.failures] == want
+
+
+def test_suspension_redraws_are_bounded(monkeypatch):
+    # rows whose last vertex is always isolated: every suspension draw is
+    # rejected, and each sample becomes one failure instead of a hang
+    real = matchinv.verifier._pair_rows
+
+    def last_isolated(n, mask):
+        rows = real(n, mask)
+        return tuple(row & ~(1 << n - 1) for row in rows[:-1]) + (0,)
+
+    monkeypatch.setattr(matchinv.verifier, "_pair_rows", last_isolated)
+    rep = verify_lemma_suite(4, samples=5)
+    assert not rep.passed
+    drawn = [rec for rec in rep.failures
+             if rec.expected == "a graph without isolated vertices in 100 draws"]
+    assert len(drawn) == 5
+    for rec in drawn:
+        assert rec.graph6 is None and rec.actual.endswith("isolated in the last draw")
+
+
+def test_tables_do_not_depend_on_the_block_size(monkeypatch):
+    # 8-mask blocks put edges 3 and up above the block, where a bit is
+    # set or clear for the whole block, already at n = 4
+    default = [_invariant_tables(n) for n in range(2, 7)]
+    monkeypatch.setattr(matchinv.verifier, "_CHUNK", 1 << 3)
+    for n, want in zip(range(2, 7), default):
+        for have, ref in zip(_invariant_tables(n), want):
+            assert have.dtype == ref.dtype and np.array_equal(have, ref), n
+
+
 def test_exhaustive_checks_solve_one_graph_per_class(monkeypatch):
     calls = {"triple": 0, "reg": 0}
     real_triple = matchinv.matching.invariant_triple

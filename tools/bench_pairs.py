@@ -24,7 +24,10 @@ both medians, the metric's bound, the parent's quartile spread, and in
 how many pairs the change was better (ties count for neither side), and
 marks the metric ``unresolved`` when that spread exceeds bound x parent
 median; ``BENCHMARK.json`` says which direction is better and gives the
-bound.  Standard library only.
+bound.  A ``verify`` run also prints the median seconds of each check
+(``[verify]   lemmas_s = 1.0510 s``); these lines are kept on the stored
+run as ``per_check_s``, and both sides' medians of each check are
+printed, so a change shows which check moved.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -100,8 +104,28 @@ def archive(rev: str, into: str) -> None:
         raise SystemExit(f"error: git archive {rev} failed")
 
 
+def per_check_seconds(stdout: str, metrics: dict) -> dict[str, float]:
+    """Check name -> seconds from a run's ``[W]   <name>_s = <x> s`` lines.
+
+    End-to-end metrics in seconds (``setup_s``) print the same way, so
+    names that are keys of ``metrics`` are left out."""
+    found = re.findall(r"^\[\w+\]\s+(\w+)_s = (\S+) s$", stdout, re.MULTILINE)
+    return {name: float(x) for name, x in found if name + "_s" not in metrics}
+
+
+def print_checks(old: list[dict], new: list[dict]) -> None:
+    """Both sides' median seconds of each check that the runs report."""
+    names = [name for name in old[0].get("per_check_s", {})
+             if all(name in run.get("per_check_s", {}) for run in old + new)]
+    for name in names:
+        a = statistics.median(run["per_check_s"][name] for run in old)
+        b = statistics.median(run["per_check_s"][name] for run in new)
+        print(f"  check {name + '_s':15} {a:8.4f} -> {b:<8.4f} s")
+
+
 def run_once(copy: str, args: list[str], label: str) -> dict:
-    """One benchmark run in a copy; its last stdout line as a dict."""
+    """One benchmark run in a copy; its last stdout line as a dict, with
+    the run's per-check seconds under ``per_check_s`` when it prints any."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=copy,
                           capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -110,6 +134,9 @@ def run_once(copy: str, args: list[str], label: str) -> dict:
     result = json.loads(lines[-1])
     if not result.get("correct"):
         raise SystemExit(f"error: {label} printed \"correct\": false")
+    checks = per_check_seconds(proc.stdout, result.get("metrics", {}))
+    if checks:
+        result["per_check_s"] = checks
     return result
 
 
@@ -167,6 +194,7 @@ def main(argv: list[str]) -> int:
     rows = summarize(runs["parent"], runs["change"], better_directions())
     print_summary(rows, bounds(), f"{args.workload}, seed {args.seed}", commits[0][:7],
                   commits[1][:7])
+    print_checks(runs["parent"], runs["change"])
     return 0
 
 
