@@ -9,8 +9,8 @@ samples and graph6 decoding.  So the masks on n vertices are
 the first 2^C(n, 2) masks on n + 1, and joining a new vertex n to a
 vertex set S is an OR of S << C(n, 2).  The three matching invariants,
 the component of vertex 0 and the vertex neighbourhoods of every edge
-mask, connected or not, fill tables by recurrences on the mask's top
-edge (``_invariant_tables``); the tables on n vertices are the prefixes
+mask, connected or not, fill tables by recurrences on the mask's last
+vertex (``_invariant_tables``); the tables on n vertices are the prefixes
 of those on n + 1, and the masks whose component of vertex 0 holds every
 vertex are the scan.  This route is independent of the per-graph solvers
 in :mod:`matchinv.matching` and the two are cross-checked in the test
@@ -30,8 +30,8 @@ is the mask of G without the pairs at v: its exhaustive lemmas compare
 table entries with table entries, and only its two seeded samples call
 the per-graph solvers, against the tables.
 
-The tables are filled in the calling process, the invariant tables in
-blocks of at most ``_CHUNK`` masks.  ``scan_invariants`` is a pure
+The tables are filled in the calling process, one block of 2^C(v, 2)
+masks per vertex v and neighbourhood of it.  ``scan_invariants`` is a pure
 function: each call fills its tables afresh, and the module keeps no
 state between calls.  A caller that needs one scan twice holds the
 ``ScanResult``.
@@ -54,7 +54,6 @@ from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
 
 _SCAN_CAP = 7
-_CHUNK = 1 << 15  # masks per block; small blocks keep the temporaries small
 
 
 def connected_graph_count(n: int) -> int:
@@ -71,21 +70,6 @@ def connected_graph_count(n: int) -> int:
     return counts[n]
 
 
-def _holding(block: np.ndarray, lo: int, e: int) -> np.ndarray:
-    """The entries of ``block`` whose edge mask holds edge e, as a view.
-
-    ``block`` stands for the masks lo, lo + 1, ..., a power-of-two count
-    of them with lo a multiple of that count.  When 2^e is less than the
-    count, bit e alternates in runs of 2^e, and the masks holding edge e
-    are the ``[:, 1]`` slice of the block reshaped to (-1, 2, 2^e).
-    Otherwise bit e is that of lo throughout: the view is the whole block
-    or none of it.
-    """
-    if 1 << e >= block.shape[0]:
-        return block if lo >> e & 1 else block[:0]
-    return block.reshape(-1, 2, 1 << e)[:, 1]
-
-
 def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     """ind, min and match numbers, the component of vertex 0 and the
     neighbourhoods of every edge mask on n vertices:
@@ -97,64 +81,68 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     vertices is the prefix of the one on n + 1: ``comp0[:2^C(n, 2)]`` is
     2^n - 1 exactly at the masks connected on n vertices.
 
-    A mask m in [2^k, 2^(k+1)) holds edge k and lower edges only, and each
-    recurrence reads proper submasks without edge k, which are already
-    filled; none depends on the pair order.  E(S) is the mask of the pairs
-    inside vertex set S.  match: leave edge k out, or take it and match
-    G - i - j.  min: a maximal matching holds an edge f = {a, b} meeting i
-    or j, and f plus any maximal matching of G - a - b is maximal.  ind:
-    leave vertex j uncovered (deleting edge k instead could raise ind), or
-    match j to a neighbour x and recurse on G - N[j] - N[x].  The two
-    (n, 2^C(n,2)) tables nbr[v] and comp[v] hold the neighbourhood and the
-    component of each vertex v; both read m' = m - 2^k only.  nbr[v][m] is
-    nbr[v][m'] plus j for v = i and plus i for v = j.  Edge k joins the
-    components of i and j, so comp[v][m] is comp[i][m'] | comp[j][m'] when
-    comp[v][m'] holds i or j, and comp[v][m'] otherwise; only comp[0] is
-    returned.  For n = 1 the one mask is edgeless, with all three numbers 0.
-
-    The masks with top edge k are filled in aligned blocks of at most
-    ``_CHUNK``, each written in place.  min and ind take, over the edges
-    e <= k that meet {i, j} (for ind, that meet j), the least or greatest
-    peel among the masks that hold e.  ``_holding`` gives those masks as
-    a strided view of the block, and each gather and ``np.minimum`` or
-    ``np.maximum`` runs on that view only.  When 2^e is at least the
-    block, bit e is the same for the whole block, as for e = k or, at
-    n = 7, for e >= 15: the block then takes all of edge e or none of it.
+    The tables grow one vertex at a time.  A mask on v + 1 vertices is
+    g | s << C(v, 2): vertex v joins the v-vertex graph g with
+    neighbourhood s.  For each s != 0 the block of 2^C(v, 2) masks, g
+    ascending, is filled from the v-vertex prefix alone.  E(S) is the
+    mask of the pairs inside vertex set S, and G - X is g & E(V_v - X),
+    V_v = {0, ..., v - 1}; x ranges over s.
+    - nbr: each u in s gains v, and nbr[v] = s.
+    - comp (one row per vertex; only comp[0] is returned): vertex v
+      reaches {v} and the components comp[x][g].  A component that meets
+      s lies inside that reach and becomes it; the others stay.
+    - match: the greater of match[g] (v unmatched) and 1 + match[G - x]
+      (v matched to x).
+    - ind: the greater of ind[g] (v uncovered) and 1 + ind of G less
+      s and nbr[x][g] (v matched to x, so N[v] and N[x] go).
+    - min: let x0 = min(s).  A maximal matching covers v or x0, since
+      they are adjacent, and an edge f = {a, b} plus any maximal matching
+      of G' - a - b (G' the graph on v + 1 vertices) is maximal; so min is
+      1 + the least min of G' - a - b over the edges f at v or x0.  For
+      f = {v, y} that is min[G - y].  For f = {x0, y}, y < v, vertex v
+      keeps the neighbours s - {x0, y}, but no prefix mask has vertex v,
+      so v takes the label of x0, which f has freed: G' - x0 - y is (G - x0 - y) | P with
+      P the pairs {u, x0}, u in s - {x0, y}, a mask of the prefix.  Only
+      the masks g holding f have that edge: the ``[:, 1]`` view of the
+      block reshaped to (-1, 2, 2^f).
+    For n = 1 the one mask is edgeless, with all three numbers 0.
     """
     table = _edge_table(n)
-    full = (1 << n) - 1
+    pair = {e: k for k, e in enumerate(table)}
     sets = np.arange(1 << n, dtype=np.int64)
     inside = sum((sets >> i & sets >> j & 1) << k for k, (i, j) in enumerate(table))
     ind, minm, match = (np.zeros(1 << len(table), dtype=np.uint8) for _ in range(3))
     nbr = np.zeros((n, 1 << len(table)), dtype=np.uint8)
     comp = nbr.copy()
-    comp[:, 0] = 1 << np.arange(n)
-    for k, (i, j) in enumerate(table):
-        low, high = slice(0, 1 << k), slice(1 << k, 2 << k)
-        for v in range(n):  # one vertex at a time keeps temporaries at 2^k bytes
-            nbr[v, high] = nbr[v, low]
-            comp[v, high] = np.where(comp[v, low] & (1 << i | 1 << j),
-                                     comp[i, low] | comp[j, low], comp[v, low])
-        nbr[i, high] |= 1 << j
-        nbr[j, high] |= 1 << i
-        for lo in range(1 << k, 2 << k, _CHUNK):
-            m = np.arange(lo, min(lo + _CHUNK, 2 << k), dtype=np.int64)
-            block = slice(lo, lo + m.shape[0])
-            match[block] = np.maximum(match[m ^ 1 << k],
-                                      match[m & inside[full ^ 1 << i ^ 1 << j]] + 1)
-            best = minm[block]
-            best.fill(255)
-            for e, (a, b) in enumerate(table[:k + 1]):
-                if {a, b} & {i, j}:
-                    held, sub = _holding(best, lo, e), _holding(m, lo, e)
-                    np.minimum(held, minm[sub & inside[full ^ 1 << a ^ 1 << b]] + 1, out=held)
-            ind[block] = ind[m & inside[full ^ 1 << j]]
+    comp[:] = (1 << np.arange(n))[:, None]  # vertex v is isolated below level v
+    for v in range(1, n):
+        size = 1 << math.comb(v, 2)
+        g, low, rest = np.arange(size, dtype=np.int64), slice(0, size), (1 << v) - 1
+        # row x: the match and min numbers of G - x
+        match_less, min_less = (np.array([t[g & inside[rest ^ 1 << x]] for x in range(v)])
+                                for t in (match, minm))
+        for s in range(1, 1 << v):
+            xs = list(_bits(s))
+            x0, block = xs[0], slice(s * size, (s + 1) * size)
+            nbr[:v, block], nbr[v, block] = nbr[:v, low], s
+            nbr[xs, block] |= 1 << v
+            reach = np.bitwise_or.reduce(comp[xs, low], axis=0) | 1 << v
+            old = comp[:v + 1, low]  # row v is {v}, which meets s | {v}
+            comp[:v + 1, block] = old | reach * (old & (s | 1 << v) != 0)
+            np.maximum(match_less[xs].max(axis=0) + 1, match[low], out=match[block])
             best = ind[block]
-            for e, (a, b) in enumerate(table[:k + 1]):
-                if j in (a, b):
-                    held, sub = _holding(best, lo, e), _holding(m, lo, e)
-                    near = _holding(nbr[j, block], lo, e) | _holding(nbr[a + b - j, block], lo, e)
-                    np.maximum(held, ind[sub & inside[full ^ near]] + 1, out=held)
+            best[:] = ind[low]
+            for x in xs:
+                np.maximum(best, ind[g & inside[rest ^ (s | nbr[x, low])]] + 1, out=best)
+            best = minm[block]
+            np.add(min_less[xs].min(axis=0), 1, out=best)
+            for y in range(v):
+                if y != x0:
+                    e = pair[min(x0, y), max(x0, y)]
+                    moved = sum(1 << pair[x0, u] for u in xs[1:] if u != y)
+                    held, sub = (a.reshape(-1, 2, 1 << e)[:, 1] for a in (best, g))
+                    np.minimum(held, minm[sub & inside[rest ^ 1 << x0 ^ 1 << y] | moved] + 1,
+                               out=held)
     return ind, minm, match, comp[0].copy(), nbr  # a view would keep comp alive
 
 
@@ -212,11 +200,13 @@ class ScanResult:
                 zip(np.searchsorted(self.masks, reps).tolist(), sizes.tolist())]
 
     def triples(self) -> set[tuple[int, int, int]]:
-        """The distinct (ind, min, match) triples of the scan."""
-        key = (self.ind.astype(np.int32) << 16 | self.minm.astype(np.int32) << 8
-               | self.match.astype(np.int32))
-        return {(k >> 16 & 255, k >> 8 & 255, k & 255)
-                for k in np.unique(key).tolist()}
+        """The distinct (ind, min, match) triples of the scan: the nonzero
+        bins of a count of the triples as numbers in base b, one more than
+        the largest value (at most n/2 + 1)."""
+        b = int(max(t.max(initial=0) for t in (self.ind, self.minm, self.match))) + 1
+        key = (self.ind.astype(np.intp) * b + self.minm) * b + self.match
+        return {(k // b // b, k // b % b, k % b)
+                for k in np.flatnonzero(np.bincount(key)).tolist()}
 
 
 def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult:

@@ -41,6 +41,50 @@ def test_a_metric_that_spreads_wider_than_its_bound_is_unresolved(capsys):
         assert not lines[name].endswith("unresolved")
 
 
+def _verdicts(parent, change, capsys):
+    """Metric -> last words of its summary line, for the seed-1 runs of
+    two committed BENCH files."""
+    old = json.loads((ROOT / f"BENCH_{parent}.json").read_text())["runs"]
+    new = json.loads((ROOT / f"BENCH_{change}.json").read_text())["runs"]
+    lines = {}
+    for workload in bench_pairs.WORKLOADS:
+        rows = bench_pairs.summarize(old[workload], new[workload],
+                                     bench_pairs.better_directions())
+        bench_pairs.print_summary(rows, bench_pairs.bounds(), workload, parent, change)
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            lines[workload, line.split()[0]] = line.split(" of ")[-1].split(None, 1)[1]
+    return lines
+
+
+def test_each_metric_gets_a_verdict(capsys):
+    # verify p90 1579 -> 1313 ms, better in 10 of 10, parent IQR 195 ms
+    verdicts = _verdicts("b6d5249", "422c749", capsys)
+    assert verdicts["verify", "p90_ms"] == "gain"
+    assert verdicts["witness", "p90_ms"] == "within bound"  # 6 of 10
+    assert verdicts["witness", "completed_frac"] == "within bound"  # all ties
+    assert "regressed" not in verdicts.values()
+    # the other way round: invariants p90 1.677 -> 2.153 ms is +28%,
+    # past its bound 0.25; verify p90 +20% stays within it
+    verdicts = _verdicts("422c749", "b6d5249", capsys)
+    assert verdicts["invariants", "p90_ms"] == "regressed"
+    assert verdicts["verify", "p90_ms"] == "within bound"
+    assert "gain" not in verdicts.values()
+
+
+def test_verdict_rules():
+    # a lower-is-better metric with parent median 100, bound 0.25
+    assert bench_pairs.verdict(100, 80, 10, 9, 10, 0.25, "lower") == "gain"
+    assert bench_pairs.verdict(100, 80, 10, 8, 10, 0.25, "lower") == "within bound"
+    assert bench_pairs.verdict(100, 95, 10, 10, 10, 0.25, "lower") == "within bound"
+    assert bench_pairs.verdict(100, 126, 10, 0, 10, 0.25, "lower") == "regressed"
+    assert bench_pairs.verdict(100, 124, 10, 0, 10, 0.25, "lower") == "within bound"
+    # a spread wider than the bound allows hides a regression
+    assert bench_pairs.verdict(100, 140, 30, 0, 10, 0.25, "lower") == "within bound"
+    # higher is better: a drop is the regression
+    assert bench_pairs.verdict(100, 70, 10, 0, 10, 0.25, "higher") == "regressed"
+    assert bench_pairs.verdict(100, 130, 10, 10, 10, 0.25, "higher") == "gain"
+
+
 def fake_benchmark(tmp_path, last_line, status=0):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(

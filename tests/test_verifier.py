@@ -1,6 +1,7 @@
 """Tests for the labeled scan (edge-mask tables of the three invariants
 and of connectivity), enumeration, and verification reports."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -473,14 +474,40 @@ def test_suspension_redraws_are_bounded(monkeypatch):
         assert rec.graph6 is None and rec.actual.endswith("isolated in the last draw")
 
 
-def test_tables_do_not_depend_on_the_block_size(monkeypatch):
-    # 8-mask blocks put edges 3 and up above the block, where a bit is
-    # set or clear for the whole block, already at n = 4
-    default = [_invariant_tables(n) for n in range(2, 7)]
-    monkeypatch.setattr(matchinv.verifier, "_CHUNK", 1 << 3)
-    for n, want in zip(range(2, 7), default):
-        for have, ref in zip(_invariant_tables(n), want):
-            assert have.dtype == ref.dtype and np.array_equal(have, ref), n
+# SHA-256 of .tobytes() of ind, minm, match, comp0 and nbr, in that order,
+# taken from the tables of the earlier edge-by-edge recurrence
+_TABLE_DIGESTS = {
+    6: ("52f0a7130de94141cf425472313e7fd09236063ec62d6434f8fb2712d00635c3",
+        "e0876713525711e6c4f73dae934fdf7a880c64831ac3de07f403e186003e83ec",
+        "a72c0654b539a02c4fac609f4f8bf0f225ecb98b6db164f112d8ca08b570b29c",
+        "854134a99c345644126acc5d8455a46ebd258e022b12da245aa3aaaaca8b8ffa",
+        "e7522101e77b99854499553128b1b86f496364a2069ff591323d0b28aaadd0a7"),
+    7: ("f99aad691a788c5d3416cd61dde77b31d3732ede5a6ed4e775b6814c032687de",
+        "2adde60ca5d39fccde1f4c5051e4c2f62e383bc4ad3c72f3537a2c0a2b6b334a",
+        "34d40aa350061cfbdf422b128e8c2411891571c956547bb6ee0a857126050b74",
+        "422b651c0acc8c9c416040880d1140c1146b6d63145cb605f507d51e1a89f646",
+        "fa2cf4df27c1ddba9fad80e935cba975e6b5e04337624b10a93ba58f29aa230e"),
+}
+
+
+def test_tables_keep_their_digests():
+    # every mask on 6 and 7 vertices, disconnected ones and the nbr rows
+    # included, where the scan and the oracle test do not reach
+    for n, digests in _TABLE_DIGESTS.items():
+        tables = _invariant_tables(n)
+        size = 1 << math.comb(n, 2)
+        assert [t.shape for t in tables] == [(size,)] * 4 + [(n, size)]
+        assert all(t.dtype == np.uint8 for t in tables)
+        assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == digests, n
+
+
+def test_triples_decode_every_key():
+    # invariants above n/2 cannot come from a correct table, but they
+    # still decode to themselves
+    three = np.array([0, 1, 2], dtype=np.uint8)
+    scan = matchinv.verifier.ScanResult(2, three.astype(np.int64), three,
+                                        np.array([1, 3, 1], dtype=np.uint8), three[::-1])
+    assert scan.triples() == {(0, 1, 2), (1, 3, 1), (2, 1, 0)}
 
 
 def test_exhaustive_checks_solve_one_graph_per_class(monkeypatch):

@@ -19,12 +19,16 @@ The runs go into ``BENCH_<short>.json`` at the repository root, one file
 per revision, under ``runs[W]`` for seed 1 and ``runs_seed<S>[W]`` for any
 other seed, so that pairs on a held-out seed leave the seed-1 runs alone;
 the file's runs under other keys, and its protocol text, are kept.  Pair i
-of one file matches pair i of the other.  The tool then prints, per end-to-end metric,
-both medians, the metric's bound, the parent's quartile spread, and in
-how many pairs the change was better (ties count for neither side), and
-marks the metric ``unresolved`` when that spread exceeds bound x parent
-median; ``BENCHMARK.json`` says which direction is better and gives the
-bound.  A ``verify`` run also prints the median seconds of each check
+of one file matches pair i of the other.  The tool then prints, per
+end-to-end metric, both medians, the metric's bound, the parent's
+quartile spread, and in how many pairs the change was better (ties count
+for neither side), and gives a verdict: ``gain`` (better in at least 9
+of 10 pairs, by more than that spread in the median), ``regressed`` (a
+median worse by more than bound x parent median) or ``within bound``.
+It marks the metric ``unresolved`` when the parent's spread exceeds
+bound x parent median, and then never calls it ``regressed``;
+``BENCHMARK.json`` says which direction is better and gives the bound.
+A ``verify`` run also prints the median seconds of each check
 (``[verify]   lemmas_s = 1.0510 s``); these lines are kept on the stored
 run as ``per_check_s``, and both sides' medians of each check are
 printed, so a change shows which check moved.  Standard library only.
@@ -82,17 +86,32 @@ def summarize(old: list[dict], new: list[dict],
     return rows
 
 
+def verdict(a: float, b: float, spread: float, wins: int, pairs: int, bound: float,
+            better: str) -> str:
+    """``gain`` when the change was better in at least 9 of 10 pairs and
+    its median moved by more than the parent's quartile spread;
+    ``regressed`` when its median is worse than the parent's by more than
+    bound x parent median and the parent's spread is within that bound;
+    ``within bound`` otherwise."""
+    worse = (a - b if better == "higher" else b - a) > bound * abs(a)
+    if wins * 10 >= 9 * pairs and abs(b - a) > spread:
+        return "gain"
+    return "regressed" if worse and spread <= bound * abs(a) else "within bound"
+
+
 def print_summary(rows, bound: dict[str, float], label: str, parent: str,
                   change: str) -> None:
-    """One line per metric.  A metric whose parent runs spread wider than
-    its bound allows (quartile spread above bound x parent median) is
-    marked ``unresolved``: its pairs can show neither a gain nor a
-    regression within the bound."""
+    """One line per metric, ending in its ``verdict``.  A metric whose
+    parent runs spread wider than its bound allows (quartile spread above
+    bound x parent median) is also marked ``unresolved``: its pairs can
+    show no regression within the bound."""
+    better = better_directions()
     print(f"{label}: {parent} -> {change}, medians")
     for name, a, b, spread, wins, pairs in rows:
         flag = "  unresolved" if spread > bound[name] * abs(a) else ""
         print(f"  {name:15} {a:12.4g} -> {b:<12.4g} bound {bound[name]:<6g} "
-              f"parent IQR {spread:<10.3g} change better in {wins} of {pairs}{flag}")
+              f"parent IQR {spread:<10.3g} change better in {wins} of {pairs}  "
+              f"{verdict(a, b, spread, wins, pairs, bound[name], better[name])}{flag}")
 
 
 def archive(rev: str, into: str) -> None:
