@@ -101,10 +101,10 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
       1 + the least min of G' - a - b over the edges f at v or x0.  For
       f = {v, y} that is min[G - y].  For f = {x0, y}, y < v, vertex v
       keeps the neighbours s - {x0, y}, but no prefix mask has vertex v,
-      so v takes the label of x0, which f has freed: G' - x0 - y is (G - x0 - y) | P with
-      P the pairs {u, x0}, u in s - {x0, y}, a mask of the prefix.  Only
-      the masks g holding f have that edge: the ``[:, 1]`` view of the
-      block reshaped to (-1, 2, 2^f).
+      so v takes the label of x0, which f has freed: G' - x0 - y is
+      (G - x0 - y) | P with P the pairs {u, x0}, u in s - {x0, y}, a mask
+      of the prefix.  Only the masks g holding f have that edge: the
+      ``[:, 1]`` view of the block reshaped to (-1, 2, 2^f).
     For n = 1 the one mask is edgeless, with all three numbers 0.
     """
     table = _edge_table(n)
@@ -118,7 +118,8 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     for v in range(1, n):
         size = 1 << math.comb(v, 2)
         g, low, rest = np.arange(size, dtype=np.int64), slice(0, size), (1 << v) - 1
-        # row x: the match and min numbers of G - x
+        # row x: the match and min numbers of G - x, one row at a time: a whole
+        # (v, size) int64 index array would raise the peak RSS
         match_less, min_less = (np.array([t[g & inside[rest ^ 1 << x]] for x in range(v)])
                                 for t in (match, minm))
         for s in range(1, 1 << v):
