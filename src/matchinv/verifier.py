@@ -7,28 +7,28 @@ writes that order down: ``_edge_table`` lists the pairs, and
 ``_pair_rows`` turns a mask into adjacency rows for the scan, the lemma
 samples and graph6 decoding.  So the masks on n vertices are
 the first 2^C(n, 2) masks on n + 1, and joining a new vertex n to a
-vertex set S is an OR of S << C(n, 2).  The three matching invariants,
-the component of vertex 0 and the vertex neighbourhoods of every edge
-mask, connected or not, fill tables by recurrences on the mask's last
-vertex (``_invariant_tables``); the tables on n vertices are the prefixes
-of those on n + 1, and the masks whose component of vertex 0 holds every
-vertex are the scan.  This route is independent of the per-graph solvers
-in :mod:`matchinv.matching` and the two are cross-checked in the test
-suite; the tables are also checked against the brute-force oracles on
-every labeled graph with n <= 5.  The edge-mask format stays behind
-``ScanResult``: the first-main, av and second-main checks read their
-graphs from the scan they hold (``graph(i)``) and their realized triples
-from ``triples()``.  The av and second-main checks test
-isomorphism-invariant statements and decide isomorphism by
-``canonical()``, the least mask over all relabelings: av compares the
-forms of its extremal graphs with those of K_n and K_{n/2,n/2}, and
-second-main takes one graph per class from ``classes()`` (n <= 6) and
-counts it ``size`` times.  The forms come from the scan's own masks, not
-from a second enumeration.  The lemma suite fills the tables once, at
-its largest n, and reads each smaller n from their prefixes, where G - v
-is the mask of G without the pairs at v: its exhaustive lemmas compare
-table entries with table entries, and only its two seeded samples call
-the per-graph solvers, against the tables.
+vertex set S is an OR of S << C(n, 2).  The three matching invariants
+and the component of vertex 0 of every edge mask, connected or not, fill
+tables by recurrences on the mask's last vertex (``_invariant_tables``);
+the tables on n vertices are the prefixes of those on n + 1, and the
+masks whose component of vertex 0 holds every vertex are the scan.  The
+vertex neighbourhoods are not stored: ``_neighbourhoods`` reads them off
+the masks that need them.  This route is independent of the per-graph
+solvers in :mod:`matchinv.matching` and the two are cross-checked in the
+test suite; the tables are also checked against the brute-force oracles
+on every labeled graph with n <= 5.  The edge-mask format stays behind
+``ScanResult``: the first-main and second-main checks read their graphs
+from the scan they hold (``graph(i)``) and their realized triples from
+``triples()``.  The av check compares labeled masks: every extremal mask
+must be a labeling of K_n or K_{n/2,n/2}, and every labeling of each
+must be extremal.  Only ``classes()`` decides isomorphism, by the least
+mask over all relabelings: second-main takes one graph per class from it
+(n <= 6) and counts it ``size`` times.  The least masks come from the
+scan's own masks, not from a second enumeration.  The lemma suite fills
+the tables once, at its largest n, and reads each smaller n from their
+prefixes, where G - v is the mask of G without the pairs at v: its
+exhaustive lemmas compare table entries with table entries, and only its
+two seeded samples call the per-graph solvers, against the tables.
 
 The tables are filled in the calling process, one block of 2^C(v, 2)
 masks per vertex v and neighbourhood of it.  ``scan_invariants`` is a pure
@@ -70,10 +70,18 @@ def connected_graph_count(n: int) -> int:
     return counts[n]
 
 
+def _neighbourhoods(n: int, masks: np.ndarray) -> np.ndarray:
+    """Row v: the neighbourhood of vertex v, as a vertex set, in each of
+    the n-vertex edge ``masks``; uint8, shape (n, len(masks))."""
+    table = _edge_table(n)
+    # i + j - v is the other end of a pair {i, j} at v
+    return np.array([sum(((masks >> k & 1) << i + j - v for k, (i, j) in enumerate(table)
+                          if v in (i, j)), np.zeros_like(masks)) for v in range(n)], dtype=np.uint8)
+
+
 def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
-    """ind, min and match numbers, the component of vertex 0 and the
-    neighbourhoods of every edge mask on n vertices:
-    ``ind, minm, match, comp0, nbr``.
+    """ind, min and match numbers and the component of vertex 0 of every
+    edge mask on n vertices: ``ind, minm, match, comp0``.
 
     Edge k is the pair {i, j}, i < j, with k = C(j, 2) + i, graph6's pair
     order (``_edge_table``).  So the masks on n vertices are the first
@@ -87,14 +95,14 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     ascending, is filled from the v-vertex prefix alone.  E(S) is the
     mask of the pairs inside vertex set S, and G - X is g & E(V_v - X),
     V_v = {0, ..., v - 1}; x ranges over s.
-    - nbr: each u in s gains v, and nbr[v] = s.
     - comp (one row per vertex; only comp[0] is returned): vertex v
       reaches {v} and the components comp[x][g].  A component that meets
       s lies inside that reach and becomes it; the others stay.
     - match: the greater of match[g] (v unmatched) and 1 + match[G - x]
       (v matched to x).
     - ind: the greater of ind[g] (v uncovered) and 1 + ind of G less
-      s and nbr[x][g] (v matched to x, so N[v] and N[x] go).
+      s and N(x) (v matched to x, so N[v] and N[x] go).  N(x) is read from
+      ``_neighbourhoods`` of the prefix, once per level.
     - min: let x0 = min(s).  A maximal matching covers v or x0, since
       they are adjacent, and an edge f = {a, b} plus any maximal matching
       of G' - a - b (G' the graph on v + 1 vertices) is maximal; so min is
@@ -112,12 +120,12 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     sets = np.arange(1 << n, dtype=np.int64)
     inside = sum((sets >> i & sets >> j & 1) << k for k, (i, j) in enumerate(table))
     ind, minm, match = (np.zeros(1 << len(table), dtype=np.uint8) for _ in range(3))
-    nbr = np.zeros((n, 1 << len(table)), dtype=np.uint8)
-    comp = nbr.copy()
+    comp = np.zeros((n, 1 << len(table)), dtype=np.uint8)
     comp[:] = (1 << np.arange(n))[:, None]  # vertex v is isolated below level v
     for v in range(1, n):
         size = 1 << math.comb(v, 2)
         g, low, rest = np.arange(size, dtype=np.int64), slice(0, size), (1 << v) - 1
+        nbr = _neighbourhoods(v, g)
         # row x: the match and min numbers of G - x, one row at a time: a whole
         # (v, size) int64 index array would raise the peak RSS
         match_less, min_less = (np.array([t[g & inside[rest ^ 1 << x]] for x in range(v)])
@@ -125,8 +133,6 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
         for s in range(1, 1 << v):
             xs = list(_bits(s))
             x0, block = xs[0], slice(s * size, (s + 1) * size)
-            nbr[:v, block], nbr[v, block] = nbr[:v, low], s
-            nbr[xs, block] |= 1 << v
             reach = np.bitwise_or.reduce(comp[xs, low], axis=0) | 1 << v
             old = comp[:v + 1, low]  # row v is {v}, which meets s | {v}
             comp[:v + 1, block] = old | reach * (old & (s | 1 << v) != 0)
@@ -134,7 +140,7 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
             best = ind[block]
             best[:] = ind[low]
             for x in xs:
-                np.maximum(best, ind[g & inside[rest ^ (s | nbr[x, low])]] + 1, out=best)
+                np.maximum(best, ind[g & inside[rest ^ (s | nbr[x])]] + 1, out=best)
             best = minm[block]
             np.add(min_less[xs].min(axis=0), 1, out=best)
             for y in range(v):
@@ -144,7 +150,7 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
                     held, sub = (a.reshape(-1, 2, 1 << e)[:, 1] for a in (best, g))
                     np.minimum(held, minm[sub & inside[rest ^ 1 << x0 ^ 1 << y] | moved] + 1,
                                out=held)
-    return ind, minm, match, comp[0].copy(), nbr  # a view would keep comp alive
+    return ind, minm, match, comp[0].copy()  # a view would keep comp alive
 
 
 @dataclass(frozen=True)
@@ -165,9 +171,11 @@ class ScanResult:
         """The i-th graph of the scan."""
         return _from_pair_mask(self.n, int(self.masks[i]))
 
-    def canonical(self) -> np.ndarray:
-        """The least edge mask over all n! relabelings of each scan entry.
+    def classes(self) -> list[tuple[int, Graph, int]]:
+        """One ``(index, graph, size)`` per isomorphism class, ascending.
 
+        ``index`` points at the class's least edge mask over all n!
+        relabelings, and ``size`` counts the labeled graphs of the class.
         Swapping vertices v and v + 1 (v = 0..n-2) permutes the edge bits:
         pairs {v, x} and {v + 1, x} trade places.  These n - 1 swaps
         generate S_n, and every relabeling is a product of at most C(n, 2)
@@ -175,7 +183,7 @@ class ScanResult:
         of taking each mask's least label over its swap images leave every
         mask labeled with the least mask of its class.  Every edge mask
         gets a label, connected or not; relabeling keeps a graph connected,
-        so the scan's entries read their forms from the same array.
+        so the scan's entries read their least masks from the same array.
         """
         table = _edge_table(self.n)
         least = np.arange(1 << len(table), dtype=np.int32)  # each mask its own label
@@ -188,15 +196,7 @@ class ScanResult:
         for _ in range(len(table)):
             for image in images:
                 np.minimum(least, least[image], out=least)  # least[image] copies
-        return least[self.masks]
-
-    def classes(self) -> list[tuple[int, Graph, int]]:
-        """One ``(index, graph, size)`` per isomorphism class, ascending.
-
-        ``index`` points at the class's least edge mask, its ``canonical()``
-        form, and ``size`` counts the labeled graphs of the class.
-        """
-        reps, sizes = np.unique(self.canonical(), return_counts=True)
+        reps, sizes = np.unique(least[self.masks], return_counts=True)
         return [(i, self.graph(i), size) for i, size in
                 zip(np.searchsorted(self.masks, reps).tolist(), sizes.tolist())]
 
@@ -218,7 +218,7 @@ def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult
     """
     if not 2 <= n <= _SCAN_CAP:
         raise ValueError(f"exhaustive scan supports 2 <= n <= {_SCAN_CAP}")
-    ind, minm, match, comp0 = _invariant_tables(n)[:4]  # nbr freed here
+    ind, minm, match, comp0 = _invariant_tables(n)
     masks = np.flatnonzero(comp0 == (1 << n) - 1)
     return ScanResult(n, masks, ind[masks], minm[masks], match[masks])
 
@@ -332,26 +332,26 @@ def verify_av(n: int) -> VerificationReport:
     t0 = time.perf_counter()
     scan = scan_invariants(n)
     half = n // 2
-    forms = scan.canonical()
-    targets = {"complete": forms[-1]}  # K_n has the largest mask
-    if n >= 4:  # K_{h,h} with sides 0..h-1 and h..n-1
-        bipartite = sum(1 << k for k, (i, j) in enumerate(_edge_table(n))
-                        if i < half <= j)
-        targets["balanced_bipartite"] = forms[np.searchsorted(scan.masks, bipartite)]
-    extremal = np.flatnonzero(scan.minm == half)
+    targets = {"complete": [(1 << math.comb(n, 2)) - 1]}
+    if n >= 4:  # K_{h,h}, one labeling per side a that holds vertex 0
+        targets["balanced_bipartite"] = [sum(1 << k for k, (i, j) in enumerate(_edge_table(n))
+                                             if (a >> i ^ a >> j) & 1)
+                                         for a in range(1, 1 << n, 2) if a.bit_count() == half]
+    masks = scan.masks[scan.minm == half]
     failures: list[FailureRecord] = []
-    for i in extremal[~np.isin(forms[extremal], list(targets.values()))].tolist():
-        _fail(failures, scan.graph(i),
+    for m in masks[~np.isin(masks, sum(targets.values(), []))].tolist():
+        _fail(failures, _from_pair_mask(n, m),
               "isomorphic to the complete or balanced bipartite graph",
               f"extremal graph with min match {half} of another shape")
-    found = {name: form in forms[extremal] for name, form in targets.items()}
+    # a target is found when every one of its labelings is extremal
+    found = {name: bool(np.isin(want, masks).all()) for name, want in targets.items()}
     for name, ok in found.items():
         if not ok:
             _fail(failures, None,
                   f"{name} graph attains min match {half}", "not found in scan")
     return VerificationReport(
         check="av", n_low=n, n_high=n, examined=scan.count, failures=failures,
-        details={"extremal_count": len(extremal), "targets_found": found},
+        details={"extremal_count": len(masks), "targets_found": found},
         elapsed=time.perf_counter() - t0)
 
 
@@ -372,7 +372,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
     to ``min(n_max, 6)``, comparing table entries with table entries:
     vertex-deletion monotonicity of all three invariants, and exact
     invariance under deleting a twin leaf, a leaf v with a second leaf u
-    on the same neighbour (nbr[u] = nbr[v]).  Seeded-random, comparing
+    on the same neighbour (N(u) = N(v)).  Seeded-random, comparing
     the per-graph solvers with the tables: additivity over disjoint
     unions of graphs on 1..min(5, n_max) vertices, and preservation of
     the induced matching number by one-vertex suspensions, over an
@@ -390,7 +390,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
     examined = 2 * samples
     counts = {"deletion": 0, "twin_leaf": 0, "additivity": samples,
               "suspension": samples, "chain": 0}
-    ind, minm, match, comp0, nbr = _invariant_tables(n_max)
+    ind, minm, match, comp0 = _invariant_tables(n_max)
     low = 1 << math.comb(min(n_max, 6), 2)
     t = np.stack((ind[:low], minm[:low], match[:low]))  # the masks on n <= 6
     for n in range(2, n_max + 1):
@@ -417,7 +417,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
         rest = np.array([sum(1 << k for k, e in enumerate(_edge_table(n)) if v not in e)
                          for v in range(n)])
         whole, deleted = t[:, masks], t[:, masks & rest[:, None]]  # (3, M), (3, n, M)
-        adj = nbr[:n, masks]  # (n, M)
+        adj = _neighbourhoods(n, masks)  # (n, M)
         leaf = (adj != 0) & ((adj & (adj - 1)) == 0)  # one neighbour
         # a twin leaf shares its neighbour with another leaf
         twin = leaf & ((leaf & (adj == adj[:, None])).sum(axis=1) > 1)

@@ -32,6 +32,7 @@ from matchinv.verifier import (
     VerificationReport,
     FailureRecord,
     _invariant_tables,
+    _neighbourhoods,
 )
 
 
@@ -47,9 +48,10 @@ def test_invariant_tables_match_oracle():
     # bit C(j, 2) + i of a mask is the pair {i, j}, as in graph6
     for n in range(2, 6):
         table = [(i, j) for j in range(n) for i in range(j)]
-        ind, minm, match, comp0, nbr = _invariant_tables(n)
+        ind, minm, match, comp0 = _invariant_tables(n)
         assert ind.shape == minm.shape == match.shape == comp0.shape \
             == (1 << len(table),)
+        nbr = _neighbourhoods(n, np.arange(1 << len(table)))
         assert nbr.shape == (n, 1 << len(table))
         for mask in range(1 << len(table)):
             G = from_edge_list(n, [e for k, e in enumerate(table) if mask >> k & 1])
@@ -57,20 +59,23 @@ def test_invariant_tables_match_oracle():
             assert comp0[mask] == oracles.component(G, 0), mask
             assert [nbr[v][mask] for v in range(n)] == list(G.adj), mask
     # the one-vertex graph: one edgeless mask, all three numbers 0
-    assert [t.tolist() for t in _invariant_tables(1)] \
-        == [[0], [0], [0], [1], [[0]]]
+    assert [t.tolist() for t in _invariant_tables(1)] == [[0], [0], [0], [1]]
+    assert _neighbourhoods(1, np.arange(1)).tolist() == [[0]]
 
 
 def test_tables_on_n_vertices_are_prefixes_of_those_on_n_plus_one():
     # the masks on n vertices are the first 2^C(n, 2) on n + 1, with vertex
-    # n isolated, so every table entry and vertex 0's component carry over
+    # n isolated, so every table entry, vertex 0's component and the
+    # neighbourhoods of vertices 0..n-1 carry over
     bigger = _invariant_tables(2)
     for n in range(2, 7):
         tables, bigger = bigger, _invariant_tables(n + 1)
         size = 1 << math.comb(n, 2)
-        for have, ext in zip(tables[:4], bigger[:4]):
+        for have, ext in zip(tables, bigger):
             assert np.array_equal(have, ext[:size]), n
-        assert np.array_equal(tables[4], bigger[4][:n, :size]), n
+        masks = np.arange(1 << math.comb(n + 1, 2))
+        assert np.array_equal(_neighbourhoods(n, masks[:size]),
+                              _neighbourhoods(n + 1, masks)[:n, :size]), n
 
 
 def test_enumerate_connected_order():
@@ -268,6 +273,18 @@ def test_av_catches_missing_target(monkeypatch):
          "expected": "balanced_bipartite graph attains min match 3",
          "actual": "not found in scan"}]
     assert rep.details == {"extremal_count": 1,
+                           "targets_found": {"complete": True,
+                                             "balanced_bipartite": False}}
+
+
+def test_av_catches_one_missing_labeling(monkeypatch):
+    # min 2 at one K_{3,3} only, sides {0, 1, 2} | {3, 4, 5}: the other nine
+    # labelings stay extremal, but every labeling of a target must be
+    table = [(i, j) for j in range(6) for i in range(j)]
+    _skew_min(monkeypatch, 6, [sum(1 << k for k, (i, j) in enumerate(table) if i < 3 <= j)], 2)
+    rep = verify_av(6)
+    assert not rep.passed
+    assert rep.details == {"extremal_count": 10,
                            "targets_found": {"complete": True,
                                              "balanced_bipartite": False}}
 
@@ -474,8 +491,9 @@ def test_suspension_redraws_are_bounded(monkeypatch):
         assert rec.graph6 is None and rec.actual.endswith("isolated in the last draw")
 
 
-# SHA-256 of .tobytes() of ind, minm, match, comp0 and nbr, in that order,
-# taken from the tables of the earlier edge-by-edge recurrence
+# SHA-256 of .tobytes() of ind, minm, match, comp0 and the neighbourhoods
+# of every mask, in that order; taken when the scan still stored the
+# neighbourhoods as a fifth table, and unchanged since
 _TABLE_DIGESTS = {
     6: ("52f0a7130de94141cf425472313e7fd09236063ec62d6434f8fb2712d00635c3",
         "e0876713525711e6c4f73dae934fdf7a880c64831ac3de07f403e186003e83ec",
@@ -491,11 +509,11 @@ _TABLE_DIGESTS = {
 
 
 def test_tables_keep_their_digests():
-    # every mask on 6 and 7 vertices, disconnected ones and the nbr rows
-    # included, where the scan and the oracle test do not reach
+    # every mask on 6 and 7 vertices, disconnected ones and the
+    # neighbourhoods included, where the scan and the oracle test do not reach
     for n, digests in _TABLE_DIGESTS.items():
-        tables = _invariant_tables(n)
         size = 1 << math.comb(n, 2)
+        tables = (*_invariant_tables(n), _neighbourhoods(n, np.arange(size)))
         assert [t.shape for t in tables] == [(size,)] * 4 + [(n, size)]
         assert all(t.dtype == np.uint8 for t in tables)
         assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == digests, n
