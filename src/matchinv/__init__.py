@@ -6,9 +6,8 @@ closed-form realizability test with witness synthesis, edge-ideal
 regularity at desk scale, and exhaustive small-n verifiers.
 """
 
-from .graph import (Graph, disjoint_union, from_edge_list, graph6_decode,
-                    graph6_encode, is_chordal, is_connected, path_graph,
-                    s_suspension, to_dot)
+from .graph import (Graph, from_edge_list, graph6_decode, graph6_encode,
+                    is_chordal, is_connected, path_graph, to_dot)
 from .matching import (InvariantTriple, ind_match_number, invariant_triple,
                        match_number, min_match_number)
 from .families import (FAMILY_NAMES, FamilySpec, build_family,

@@ -22,22 +22,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_of(vertices: Iterable[int], n: int) -> int:
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range for {n}-vertex graph")
-        mask |= 1 << v
-    return mask
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with bitmask adjacency rows.
 
     ``labels``, when present, carries one short tag per vertex.  Only
-    ``build_family`` sets them, to mark construction blocks;
-    ``disjoint_union`` and ``s_suspension`` return unlabeled graphs.
+    ``build_family`` sets them, to mark construction blocks.
     """
 
     n: int
@@ -71,9 +61,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -113,26 +100,6 @@ def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def disjoint_union(G: Graph, H: Graph) -> Graph:
-    """Disjoint union, H relabeled to start at G.n; the result is unlabeled."""
-    return Graph(G.n + H.n, G.adj + tuple(row << G.n for row in H.adj))
-
-
-def s_suspension(G: Graph, independent_vertices: Iterable[int]) -> Graph:
-    """Add one new vertex adjacent to every vertex outside the given set.
-
-    The given set must be independent in G.  The new vertex gets index G.n,
-    and the result is unlabeled.
-    """
-    smask = _mask_of(independent_vertices, G.n)
-    if any(G.adj[v] & smask for v in _bits(smask)):
-        raise ValueError("suspension set must be independent")
-    wrow = G.vertex_mask & ~smask
-    rows = [G.adj[v] | ((wrow >> v & 1) << G.n) for v in range(G.n)]
-    rows.append(wrow)
-    return Graph(G.n + 1, tuple(rows))
 
 
 def is_connected(G: Graph) -> bool:

@@ -7,7 +7,8 @@ writes that order down: ``_edge_table`` lists the pairs, and
 ``_pair_rows`` turns a mask into adjacency rows for the scan, the lemma
 samples and graph6 decoding.  So the masks on n vertices are
 the first 2^C(n, 2) masks on n + 1, and joining a new vertex n to a
-vertex set S is an OR of S << C(n, 2).  The three matching invariants
+vertex set S is an OR of S << C(n, 2); the lemma suite builds its
+suspension samples by that OR.  The three matching invariants
 and the component of vertex 0 of every edge mask, connected or not, fill
 tables by recurrences on the mask's last vertex (``_invariant_tables``);
 the tables on n vertices are the prefixes of those on n + 1, and the
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import matching as _matching
 from .graph import (Graph, _bits, _edge_table, _from_pair_mask, _pair_rows, graph6_encode,
-                    is_chordal, is_connected, s_suspension)
+                    is_chordal, is_connected)
 from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
 
@@ -201,13 +202,15 @@ class ScanResult:
                 zip(np.searchsorted(self.masks, reps).tolist(), sizes.tolist())]
 
     def triples(self) -> set[tuple[int, int, int]]:
-        """The distinct (ind, min, match) triples of the scan: the nonzero
-        bins of a count of the triples as numbers in base b, one more than
-        the largest value (at most n/2 + 1)."""
+        """The distinct (ind, min, match) triples of the scan: the keys
+        flagged in a table of b^3 flags, each triple read as a number in
+        base b, one more than the largest value (at most n/2 + 1).  The
+        keys take the least unsigned dtype that holds b^3 - 1."""
         b = int(max(t.max(initial=0) for t in (self.ind, self.minm, self.match))) + 1
-        key = (self.ind.astype(np.intp) * b + self.minm) * b + self.match
-        return {(k // b // b, k // b % b, k % b)
-                for k in np.flatnonzero(np.bincount(key)).tolist()}
+        key = (self.ind.astype(np.min_scalar_type(b**3 - 1)) * b + self.minm) * b + self.match
+        seen = np.zeros(b**3, dtype=bool)
+        seen[key] = True
+        return {(k // b // b, k // b % b, k % b) for k in np.flatnonzero(seen).tolist()}
 
 
 def scan_invariants(n: int, jobs: int = 1, use_cache: bool = True) -> ScanResult:
@@ -378,8 +381,10 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
     the induced matching number by one-vertex suspensions, over an
     independent set, of graphs on 2..n_max vertices without isolated
     vertices.  The samples are drawn as edge masks and checked on their
-    rows, so each builds one ``Graph`` for the solvers; a suspension sample
-    whose ``_DRAWS`` draws all have an isolated vertex is one failure.
+    rows, so each builds one ``Graph`` for the solvers: a suspension H is
+    the sample's mask with vertex n joined to V - S by the pair-order OR.
+    A suspension sample whose ``_DRAWS`` draws all have an isolated vertex
+    is one failure.
     """
     if not 2 <= n_max <= _SCAN_CAP:
         raise ValueError(f"the lemma suite supports 2 <= n <= {_SCAN_CAP}")
@@ -454,14 +459,14 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
             _fail(failures, None, f"a graph without isolated vertices in {_DRAWS} draws",
                   f"vertex {rows.index(0)} of {n} isolated in the last draw")
             continue
-        G = Graph(n, rows)
         order = list(range(n))
         rng.shuffle(order)
         smask = 0
         for v in order[:rng.randint(0, n)]:
             if not rows[v] & smask:
                 smask |= 1 << v
-        H = s_suspension(G, _bits(smask))
+        # vertex n joins V - S
+        H = _from_pair_mask(n + 1, mask | ((1 << n) - 1 ^ smask) << math.comb(n, 2))
         before = int(ind[mask])
         after = _matching.ind_match_number(H)
         if before != after:

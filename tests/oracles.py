@@ -3,8 +3,9 @@
 Everything here works from first definitions (subset enumeration,
 permutation search, one memoised recurrence) and shares no code with the
 solvers under test.  The file also holds the test shapes (complete,
-complete bipartite and star graphs), the families' closed-form edge
-count and the small family parameter grid the tests run over.
+complete bipartite and star graphs, disjoint unions), the families'
+closed-form edge count and the small family parameter grid the tests run
+over.
 """
 
 from __future__ import annotations
@@ -183,6 +184,12 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Vertex 0 joined to 1..leaves."""
     return from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def disjoint_union(G: Graph, H: Graph) -> Graph:
+    """G's rows, then H's shifted up by G.n, as the lemma suite joins its
+    samples; unlabeled."""
+    return Graph(G.n + H.n, G.adj + tuple(row << G.n for row in H.adj))
 
 
 # ---------------------------------------------------------------------------

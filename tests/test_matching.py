@@ -8,7 +8,6 @@ import oracles
 import pytest
 from matchinv import (
     InvariantTriple,
-    disjoint_union,
     from_edge_list,
     ind_match_number,
     invariant_triple,
@@ -20,7 +19,7 @@ from matchinv import (
 from matchinv.matching import _alpha, _blossom_matching, _edge_conflicts, _min_maximal
 from matchinv.verifier import _invariant_tables
 from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
-                     star_graph)
+                     disjoint_union, star_graph)
 
 
 def petersen_graph():

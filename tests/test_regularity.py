@@ -7,7 +7,6 @@ import pytest
 import oracles
 from matchinv import (
     RegularityResult,
-    disjoint_union,
     from_edge_list,
     graph6_encode,
     ind_match_number,
@@ -22,7 +21,7 @@ from matchinv import (
     synthesize_witness,
 )
 from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
-                     star_graph)
+                     disjoint_union, star_graph)
 
 
 # ---------------------------------------------------------------------------
