@@ -18,14 +18,16 @@ independence-number search, the larger of the bound and the exact value.
 ``_min_maximal`` uses the paper's twin-leaf and additivity lemmas, and cuts a
 node whose independence number, from ``_alpha``, is so small that every
 maximal matching, which leaves an independent set uncovered, reaches the
-bound.  ``ind_match_number`` is ``_alpha`` on the edge conflict graph, with
-one row per distinct edge neighbourhood S_e = N(a) | N(b): edges with equal
+bound.  Its memo is keyed by G's twin classes, so the masks that differ by
+swapping twins of G, whose subgraphs are isomorphic, share one entry.
+``ind_match_number`` is ``_alpha`` on the edge conflict graph, with one row
+per distinct edge neighbourhood S_e = N(a) | N(b): edges with equal
 S_e are true twins there, so one of them is enough and the independence
 number does not change.  The rows take one set lookup per edge and a few
 mask ORs per kept edge; ``_alpha`` takes simplicial vertices at every
 node.  On a 2-CPU host every witness of every feasible tuple at n = 24,
-32, 48 and 64 is re-checked in at most about 0.1 s (all 7,514 in 36 to
-47 s);
+32, 48 and 64 is re-checked in at most about 0.012 s (all 7,514 in about
+12 s);
 ``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and at
 most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` takes at
 most about 15 ms on a 64-cycle, on the prism ladder C3 x P21 and on twelve
@@ -278,14 +280,58 @@ def _alpha(adj: tuple[int, ...], mask: int, floor: int,
     return taken + best
 
 
+def _twin_classes(adj: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """G's twin classes of two or more vertices, each as ``(members,
+    prefix)``, ``prefix[k]`` the mask of its k lowest members.
+
+    False twins have equal N(v), true twins equal N[v]; each is an
+    equivalence.  No vertex x has twins of both kinds: a true twin y and a
+    false twin z would give z in N(y), as y is in N(x) = N(z), so z in
+    N[y] = N[x], against N(z) = N(x).  An open row never equals a closed
+    one either: N(u) = N[v] holds v, so u is in N(v), hence in N[v] =
+    N(u).  So one dict keyed by both kinds of row collects every class.
+    Sorting the rows instead was no faster on the benchmark's graphs.
+    """
+    groups = {}
+    for v, row in enumerate(adj):
+        groups.setdefault(row, []).append(v)
+        groups.setdefault(row | 1 << v, []).append(v)
+    classes = []
+    for members in groups.values():
+        if len(members) > 1:
+            prefix = [0]
+            for v in members:
+                prefix.append(prefix[-1] | 1 << v)
+            classes.append((prefix[-1], tuple(prefix)))
+    return tuple(classes)
+
+
+def _twin_key(mask: int, classes: tuple[tuple[int, tuple[int, ...]], ...]) -> int:
+    """``mask`` with its part in each twin class moved to that class's
+    lowest members, as many as there were.
+
+    Swapping two twins of G is an automorphism of G, so G[key] is
+    isomorphic to G[mask], and masks that differ by twin swaps share a key.
+    """
+    for members, prefix in classes:
+        part = mask & members
+        mask ^= part ^ prefix[part.bit_count()]
+    return mask
+
+
 def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
-                 memo: dict[int, tuple[int, bool]]) -> int:
+                 memo: dict[int, tuple[int, bool]],
+                 classes: tuple[tuple[int, tuple[int, ...]], ...] | None) -> int:
     """Min maximal matching of G[mask] when below ``limit``.
 
     Otherwise the result is a lower bound of at least ``limit``.  ``memo``
-    maps a reduced mask to its best result so far and whether that result
-    was below its limit, hence exact, for one solver call; ``_alpha`` keeps
-    its results there under negative keys.
+    maps the twin key (``_twin_key``) of a reduced mask to its best result
+    so far and whether that result was below its limit, hence exact, for
+    one solver call; ``_alpha`` keeps its results there under negative
+    keys.  The value, and the bound at a limit, depend on G[mask] only up
+    to isomorphism, so every mask with the same key may read the entry.  ``classes`` are
+    G's ``_twin_classes``, or None: the first node that reaches the memo
+    builds them, so a root that a bound cuts never does.
     """
     # isolated vertices leave the clique-cover bound as it is, so it may cut
     # before the reduction does
@@ -311,7 +357,10 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
     lo = max(cover, (forced.bit_count() + 1) // 2)
     if lo >= limit:
         return lo
-    hit = memo.get(mask)
+    if classes is None:
+        classes = _twin_classes(adj)
+    key = _twin_key(mask, classes)
+    hit = memo.get(key)
     if hit is not None and (hit[1] or hit[0] >= limit):
         return hit[0]
     # components add up (additivity lemma)
@@ -326,9 +375,9 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
         rest = mask & ~comp
         rest_lo = max(_clique_cover_bound(adj, rest),
                       ((forced & rest).bit_count() + 1) // 2)
-        value = _min_maximal(adj, comp, limit - rest_lo, memo)
+        value = _min_maximal(adj, comp, limit - rest_lo, memo, classes)
         if value < limit - rest_lo:
-            value += _min_maximal(adj, rest, limit - value, memo)
+            value += _min_maximal(adj, rest, limit - value, memo, classes)
         else:
             value += rest_lo
     else:
@@ -342,7 +391,7 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
             rem &= ~(adj[low.bit_length() - 1] | low)
             size += 1
         if size <= t and _alpha(adj, mask, t, memo) == t:
-            memo[mask] = (limit, False)
+            memo[key] = (limit, False)
             return limit
         # a maximal matching covers a forced vertex, and dominates the
         # lowest edge {u, v} by some edge meeting u or v
@@ -368,13 +417,14 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
                 if open_nb in seen or open_nb | 1 << b in seen:
                     continue
                 seen.update((open_nb, open_nb | 1 << b))
-                found = 1 + _min_maximal(adj, left & ~(1 << b), value - 1, memo)
+                found = 1 + _min_maximal(adj, left & ~(1 << b), value - 1, memo,
+                                         classes)
                 if found < value:
                     value = found
                     if value == lo:
-                        memo[mask] = (lo, True)
+                        memo[key] = (lo, True)
                         return lo
-    memo[mask] = (value, value < limit)
+    memo[key] = (value, value < limit)
     return value
 
 
@@ -391,9 +441,18 @@ def min_match_number(G: Graph) -> int:
     connected node branches, that bound cuts it when it reaches the limit.
     A greedy independent set that is already too large lets the node
     branch without the exact alpha.
+
+    The memo keys a node by its mask with each twin class of G filled from
+    its lowest members (``_twin_key``).  Swapping twins of G maps G onto
+    itself, so masks with one key induce isomorphic graphs, whose value,
+    or bound at a limit, is the same.  The family witnesses are clique
+    cores with pendant, matching and star blocks, mostly twins, and their
+    twin-swapped subproblems now take one entry.  The classes are built at
+    the first node that reaches the memo, so a graph whose root a bound
+    settles builds none.
     """
     greedy = _greedy_maximal_size(G.adj, G.vertex_mask)
-    return min(greedy, _min_maximal(G.adj, G.vertex_mask, greedy, {}))
+    return min(greedy, _min_maximal(G.adj, G.vertex_mask, greedy, {}, None))
 
 
 # ---------------------------------------------------------------------------

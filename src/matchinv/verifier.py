@@ -98,7 +98,9 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     V_v = {0, ..., v - 1}; x ranges over s.
     - comp (one row per vertex; only comp[0] is returned): vertex v
       reaches {v} and the components comp[x][g].  A component that meets
-      s lies inside that reach and becomes it; the others stay.
+      s lies inside that reach and becomes it; the others stay.  The rows
+      are read at the masks on n - 1 vertices only, so they hold just those,
+      and the last level writes the returned row alone.
     - match: the greater of match[g] (v unmatched) and 1 + match[G - x]
       (v matched to x).
     - ind: the greater of ind[g] (v uncovered) and 1 + ind of G less
@@ -120,8 +122,9 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
     pair = {e: k for k, e in enumerate(table)}
     sets = np.arange(1 << n, dtype=np.int64)
     inside = sum((sets >> i & sets >> j & 1) << k for k, (i, j) in enumerate(table))
-    ind, minm, match = (np.zeros(1 << len(table), dtype=np.uint8) for _ in range(3))
-    comp = np.zeros((n, 1 << len(table)), dtype=np.uint8)
+    ind, minm, match, comp0 = (np.zeros(1 << len(table), dtype=np.uint8) for _ in range(4))
+    # comp is read below the last level only, at masks on n - 1 vertices
+    comp = np.zeros((n, 1 << math.comb(n - 1, 2)), dtype=np.uint8)
     comp[:] = (1 << np.arange(n))[:, None]  # vertex v is isolated below level v
     for v in range(1, n):
         size = 1 << math.comb(v, 2)
@@ -131,12 +134,14 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
         # (v, size) int64 index array would raise the peak RSS
         match_less, min_less = (np.array([t[g & inside[rest ^ 1 << x]] for x in range(v)])
                                 for t in (match, minm))
+        # the last level writes only the returned row, past the prefix
+        rows = comp[:v + 1] if v < n - 1 else comp0[None]
         for s in range(1, 1 << v):
             xs = list(_bits(s))
             x0, block = xs[0], slice(s * size, (s + 1) * size)
             reach = np.bitwise_or.reduce(comp[xs, low], axis=0) | 1 << v
-            old = comp[:v + 1, low]  # row v is {v}, which meets s | {v}
-            comp[:v + 1, block] = old | reach * (old & (s | 1 << v) != 0)
+            old = comp[:len(rows), low]  # row v is {v}, which meets s | {v}
+            rows[:, block] = old | reach * (old & (s | 1 << v) != 0)
             np.maximum(match_less[xs].max(axis=0) + 1, match[low], out=match[block])
             best = ind[block]
             best[:] = ind[low]
@@ -151,7 +156,8 @@ def _invariant_tables(n: int) -> tuple[np.ndarray, ...]:
                     held, sub = (a.reshape(-1, 2, 1 << e)[:, 1] for a in (best, g))
                     np.minimum(held, minm[sub & inside[rest ^ 1 << x0 ^ 1 << y] | moved] + 1,
                                out=held)
-    return ind, minm, match, comp[0].copy()  # a view would keep comp alive
+    comp0[:comp.shape[1]] = comp[0]
+    return ind, minm, match, comp0
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,21 @@ from matchinv import FamilySpec, Graph, from_edge_list
 
 
 def all_matchings(G: Graph) -> list[list[tuple[int, int]]]:
-    """Every subset of pairwise disjoint edges, by edge-subset scan."""
+    """Every subset of pairwise disjoint edges, each once: a matching grows
+    only by an edge later in ``G.edges()`` than its own, and only by one
+    that meets none of its vertices.  So it visits the matchings alone, 764
+    on K8, where an edge-subset scan would visit 2^28 subsets."""
     edges = G.edges()
     out = []
-    for k in range(len(edges) + 1):
-        for sub in itertools.combinations(edges, k):
-            used = set()
-            ok = True
-            for u, v in sub:
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.update((u, v))
-            if ok:
-                out.append(list(sub))
+
+    def grow(matching: list[tuple[int, int]], start: int, used: set[int]) -> None:
+        out.append(matching)
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if u not in used and v not in used:
+                grow(matching + [edges[i]], i + 1, used | {u, v})
+
+    grow([], 0, set())
     return out
 
 

@@ -7,7 +7,11 @@ import time
 import oracles
 import pytest
 from matchinv import (
+    FamilySpec,
     InvariantTriple,
+    TupleQuery,
+    build_family,
+    feasible_set,
     from_edge_list,
     ind_match_number,
     invariant_triple,
@@ -15,8 +19,11 @@ from matchinv import (
     min_match_number,
     path_graph,
     regularity,
+    synthesize_witness,
 )
-from matchinv.matching import _alpha, _blossom_matching, _edge_conflicts, _min_maximal
+from matchinv.graph import _bits
+from matchinv.matching import (_alpha, _blossom_matching, _edge_conflicts, _min_maximal,
+                               _twin_classes, _twin_key)
 from matchinv.verifier import _invariant_tables
 from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
                      disjoint_union, star_graph)
@@ -129,18 +136,20 @@ def test_component_additivity_spot():
 
 def test_min_maximal_is_exact_below_its_limit():
     # below the limit the value, otherwise a bound between limit and value;
-    # a memo filled under one limit must serve the next
+    # a memo filled under one limit must serve the next, with or without
+    # twin keys, and with the classes built by the first node that needs them
     for n in range(6):
         for G in all_graphs(n):
             value = oracles.min_match_number(G)
-            shared = {}
-            for limit in (3, 2, 1, 0):
-                for memo in ({}, shared):
-                    got = _min_maximal(G.adj, G.vertex_mask, limit, memo)
-                    if value < limit:
-                        assert got == value
-                    else:
-                        assert limit <= got <= value
+            for classes in ((), _twin_classes(G.adj), None):
+                shared = {}
+                for limit in (3, 2, 1, 0):
+                    for memo in ({}, shared):
+                        got = _min_maximal(G.adj, G.vertex_mask, limit, memo, classes)
+                        if value < limit:
+                            assert got == value
+                        else:
+                            assert limit <= got <= value
 
 
 def test_alpha_on_conflict_rows_is_the_larger_of_floor_and_value():
@@ -351,6 +360,118 @@ def test_twin_partners():
     for sizes in ((1, 1, 1, 1), (1, 2, 3), (2, 2, 2), (1, 1, 4), (2, 2, 3),
                   (1, 1, 1, 3)):
         assert_solvers_match_oracle(complete_multipartite(sizes))
+
+
+# ---------------------------------------------------------------------------
+# twin keys
+# ---------------------------------------------------------------------------
+
+def twins_by_definition(G):
+    """Pairs u < v with N(u) = N(v) or N[u] = N[v], from the edge list."""
+    nb = [set() for _ in range(G.n)]
+    for u, v in G.edges():
+        nb[u].add(v)
+        nb[v].add(u)
+    return {(u, v) for u, v in itertools.combinations(range(G.n), 2)
+            if nb[u] == nb[v] or nb[u] | {u} == nb[v] | {v}}
+
+
+def family_witnesses(max_vertices):
+    """The witness of every feasible tuple up to max_vertices, and the
+    family members of ``oracles.spec_grid``."""
+    graphs = [synthesize_witness(TupleQuery(*tup, n)).graph
+              for n in range(2, max_vertices + 1) for tup in sorted(feasible_set(n))]
+    return graphs + [build_family(spec) for spec in oracles.spec_grid(max_vertices)]
+
+
+def twin_rich_graphs():
+    # K_{2,3} with two pendants at 0: {2, 3, 4} and {5, 6} are false twins;
+    # G1(3, 1, 2) adds the true twins x3, x4, x5 of its clique
+    graphs = [with_leaves(complete_bipartite_graph(2, 3), 0, 2),
+              build_family(FamilySpec("G1", 3, 1, 2)), complete_graph(7)]
+    return graphs + family_witnesses(12) + [G for n in range(6) for G in all_graphs(n)]
+
+
+def test_twin_classes_are_disjoint_and_complete():
+    kinds = set()
+    for G in twin_rich_graphs():
+        classes = _twin_classes(G.adj)
+        covered = 0
+        for members, prefix in classes:
+            assert not members & covered and members & (members - 1)
+            covered |= members
+            vs = list(_bits(members))
+            assert prefix == tuple(sum(1 << v for v in vs[:k]) for k in range(len(vs) + 1))
+            open_rows = {G.adj[v] for v in vs}
+            closed_rows = {G.adj[v] | 1 << v for v in vs}
+            assert len(open_rows) == 1 or len(closed_rows) == 1, (G, vs)
+            kinds.add(len(open_rows) == 1)
+        pairs = {(u, v) for members, _ in classes
+                 for u, v in itertools.combinations(_bits(members), 2)}
+        assert pairs == twins_by_definition(G), G
+    assert kinds == {True, False}
+
+
+def test_twin_key_is_shared_by_twin_swaps():
+    rng = random.Random(16)
+    for G in twin_rich_graphs():
+        classes = _twin_classes(G.adj)
+        for _ in range(8):
+            mask = rng.getrandbits(G.n)
+            key = _twin_key(mask, classes)
+            outside = G.vertex_mask
+            for members, prefix in classes:
+                outside &= ~members
+                # each class keeps its count, moved to its lowest members
+                assert key & members == prefix[(mask & members).bit_count()]
+            assert key & outside == mask & outside
+            for members, _ in classes:
+                for x, y in itertools.combinations(_bits(members), 2):
+                    if (mask >> x ^ mask >> y) & 1:
+                        assert _twin_key(mask ^ (1 << x | 1 << y), classes) == key
+
+
+def partitions(n, largest=None):
+    """Part sizes of n, non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def blow_up(H, kinds):
+    """H with vertex i replaced by ``kinds[i]``: "K1" (a vertex), "K2" (an
+    edge) or "2K1" (two non-adjacent vertices); each edge of H joins all of
+    its ends' copies."""
+    copies, edges = [], []
+    for kind in kinds:
+        start = sum(len(c) for c in copies)
+        copies.append(range(start, start + (1 if kind == "K1" else 2)))
+        if kind == "K2":
+            edges.append((start, start + 1))
+    for i, j in H.edges():
+        edges += [(u, v) for u in copies[i] for v in copies[j]]
+    return from_edge_list(sum(len(c) for c in copies), edges)
+
+
+def test_min_match_on_twin_rich_graphs():
+    graphs = [complete_multipartite(sizes) for n in range(1, 9)
+              for sizes in partitions(n)]
+    # one graph per isomorphism class on at most 4 vertices
+    seen = []
+    for n in range(5):
+        for H in all_graphs(n):
+            if not any(oracles.isomorphic(H, K) for K in seen):
+                seen.append(H)
+    for H in seen:
+        graphs += [blow_up(H, kinds)
+                   for kinds in itertools.product(("K1", "K2", "2K1"), repeat=H.n)]
+    graphs += family_witnesses(8)
+    assert len(seen) == 19  # 1, 1, 2, 4 and 11 on 0..4 vertices
+    for G in graphs:
+        assert min_match_number(G) == oracles.min_match_number(G), G
 
 
 def random_chordal(rng, n):
