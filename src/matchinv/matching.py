@@ -285,11 +285,12 @@ def _twin_classes(adj: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ..
     prefix)``, ``prefix[k]`` the mask of its k lowest members.
 
     False twins have equal N(v), true twins equal N[v]; each is an
-    equivalence.  No vertex x has twins of both kinds: a true twin y and a
-    false twin z would give z in N(y), as y is in N(x) = N(z), so z in
-    N[y] = N[x], against N(z) = N(x).  An open row never equals a closed
-    one either: N(u) = N[v] holds v, so u is in N(v), hence in N[v] =
-    N(u).  So one dict keyed by both kinds of row collects every class.
+    equivalence.  No vertex x has twins of both kinds: for a true twin y
+    and a false twin z, y is in N(x) = N(z), so z is in N(y), within
+    N[y] = N[x]; as z != x, z is in N(x) = N(z), which no vertex is.  An
+    open row never equals a closed one either: N(u) = N[v] holds v, so u
+    is in N(v), hence in N[v] = N(u).  So the classes are disjoint, and
+    one dict keyed by both kinds of row collects every class.
     Sorting the rows instead was no faster on the benchmark's graphs.
     """
     groups = {}
@@ -310,8 +311,9 @@ def _twin_key(mask: int, classes: tuple[tuple[int, tuple[int, ...]], ...]) -> in
     """``mask`` with its part in each twin class moved to that class's
     lowest members, as many as there were.
 
-    Swapping two twins of G is an automorphism of G, so G[key] is
-    isomorphic to G[mask], and masks that differ by twin swaps share a key.
+    Swapping two twins of G is an automorphism of G, and the move is a
+    product of such swaps, so G[key] is isomorphic to G[mask]; masks that
+    differ by twin swaps share a key.
     """
     for members, prefix in classes:
         part = mask & members
@@ -329,9 +331,9 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
     so far and whether that result was below its limit, hence exact, for
     one solver call; ``_alpha`` keeps its results there under negative
     keys.  The value, and the bound at a limit, depend on G[mask] only up
-    to isomorphism, so every mask with the same key may read the entry.  ``classes`` are
-    G's ``_twin_classes``, or None: the first node that reaches the memo
-    builds them, so a root that a bound cuts never does.
+    to isomorphism, so every mask with the same key may read the entry.
+    ``classes`` are G's ``_twin_classes``, or None: the first node that
+    reaches the memo builds them, so a root that a bound cuts never does.
     """
     # isolated vertices leave the clique-cover bound as it is, so it may cut
     # before the reduction does
