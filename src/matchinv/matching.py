@@ -20,18 +20,23 @@ node whose independence number, from ``_alpha``, is so small that every
 maximal matching, which leaves an independent set uncovered, reaches the
 bound.  Its memo is keyed by G's twin classes, so the masks that differ by
 swapping twins of G, whose subgraphs are isomorphic, share one entry.
+``min_match_number`` searches only when two root lower bounds fall short
+of the first-fit matching: the clique-cover bound of G, and the same bound
+added up over the components of G - hub, which deletion monotonicity and
+additivity allow.  They settle every family witness up to 64 vertices.
 ``ind_match_number`` is ``_alpha`` on the edge conflict graph, with one row
 per distinct edge neighbourhood S_e = N(a) | N(b): edges with equal
 S_e are true twins there, so one of them is enough and the independence
 number does not change.  The rows take one set lookup per edge and a few
 mask ORs per kept edge; ``_alpha`` takes simplicial vertices at every
 node.  On a 2-CPU host every witness of every feasible tuple at n = 24,
-32, 48 and 64 is re-checked in at most about 0.012 s (all 7,514 in about
-12 s);
-``min_match_number`` takes about 10 ms on seeded G(30, 0.5) graphs and at
-most about 7 s on the G(64, p) graphs tried; ``ind_match_number`` takes at
-most about 15 ms on a 64-cycle, on the prism ladder C3 x P21 and on twelve
-chained 5-cycles, and up to about 9 s on the sparse G(64, p) graphs tried.
+32, 48 and 64 is re-checked in at most about 0.006 s (all 7,514 in about
+4 s), and every one with n = 2 to 64 (76,480) in about 40 s, 6 s of it
+in ``min_match_number``, which takes about 10 ms on seeded G(30, 0.5)
+graphs and at most about 7 s on the G(64, p) graphs tried;
+``ind_match_number`` takes at most about 15 ms on a 64-cycle, on the prism
+ladder C3 x P21 and on twelve chained 5-cycles, and up to about 9 s on the
+sparse G(64, p) graphs tried.
 
 ``match_number`` is Edmonds' augmenting-path search with blossom
 contraction (1965).  Its first matching goes by least degree, so it matches
@@ -214,6 +219,45 @@ def _clique_cover_bound(adj: tuple[int, ...], vmask: int) -> int:
     return (vmask.bit_count() - cliques + 1) // 2
 
 
+def _component(adj: tuple[int, ...], mask: int) -> int:
+    """The component of G[mask] that holds the lowest vertex of ``mask``."""
+    comp = frontier = mask & -mask
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier ^= 1 << v
+        new = adj[v] & mask & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
+def _hub_deletion_bound(adj: tuple[int, ...]) -> int:
+    """Lower bound on min maximal matching of G: the clique-cover bounds of
+    the components of G - hub, added up.
+
+    ``hub`` is the first vertex with the most non-leaf neighbours.  Deleting
+    a vertex v never raises the value.  Take M, a minimum maximal matching
+    of G.  If v is unmatched, M stays maximal in G - v.  Otherwise drop v's
+    edge: every edge left undominated then meets v's mate u, so one edge at
+    u restores maximality, and the size does not grow.  The components of
+    G - hub add up (additivity lemma), and each one's greedy clique cover
+    bounds its independence number on its own.
+    """
+    nonleaf = 0
+    for v, row in enumerate(adj):
+        if row & (row - 1):
+            nonleaf |= 1 << v
+    counts = [(row & nonleaf).bit_count() for row in adj]
+    rest = ((1 << len(adj)) - 1) ^ 1 << counts.index(max(counts))
+    bound = 0
+    while rest:
+        comp = _component(adj, rest)
+        rest ^= comp
+        if comp & (comp - 1):  # a lone vertex bounds nothing
+            bound += _clique_cover_bound(adj, comp)
+    return bound
+
+
 def _alpha(adj: tuple[int, ...], mask: int, floor: int,
            memo: dict[int, tuple[int, bool]]) -> int:
     """The larger of ``floor`` and the independence number of G[mask].
@@ -366,13 +410,7 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
     if hit is not None and (hit[1] or hit[0] >= limit):
         return hit[0]
     # components add up (additivity lemma)
-    comp = frontier = mask & -mask
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier ^= 1 << v
-        new = adj[v] & mask & ~comp
-        comp |= new
-        frontier |= new
+    comp = _component(adj, mask)
     if comp != mask:
         rest = mask & ~comp
         rest_lo = max(_clique_cover_bound(adj, rest),
@@ -433,7 +471,15 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
 def min_match_number(G: Graph) -> int:
     """Size of a minimum maximal matching (exact).
 
-    Branch and bound over vertex masks with the first-fit matching's size as
+    The first-fit matching's size is an upper bound, and the root tries two
+    lower bounds before any search: the clique-cover bound of G, and, when
+    that falls short, ``_hub_deletion_bound``, the clique-cover bounds of
+    the components of G - hub added up.  If either reaches the first-fit
+    size, that size is the value.  On the family witnesses of every
+    feasible tuple up to 64 vertices one of them does, so these take no
+    search, memo or twin classes.
+
+    Otherwise branch and bound over vertex masks with the first-fit size as
     the first limit.  Each node drops isolated vertices and all but one leaf
     at a vertex (the paper's twin-leaf lemma), splits into components whose
     values add up (its additivity lemma), and branches on the edges at a
@@ -447,14 +493,16 @@ def min_match_number(G: Graph) -> int:
     The memo keys a node by its mask with each twin class of G filled from
     its lowest members (``_twin_key``).  Swapping twins of G maps G onto
     itself, so masks with one key induce isomorphic graphs, whose value,
-    or bound at a limit, is the same.  The family witnesses are clique
-    cores with pendant, matching and star blocks, mostly twins, and their
-    twin-swapped subproblems now take one entry.  The classes are built at
-    the first node that reaches the memo, so a graph whose root a bound
-    settles builds none.
+    or bound at a limit, is the same, so on a graph with many twins, such
+    as a blow-up of a small graph, twin-swapped subproblems take one entry.
+    The classes are built at the first node that reaches the memo, so a
+    graph whose root a bound settles builds none.
     """
-    greedy = _greedy_maximal_size(G.adj, G.vertex_mask)
-    return min(greedy, _min_maximal(G.adj, G.vertex_mask, greedy, {}, None))
+    adj, mask = G.adj, G.vertex_mask
+    greedy = _greedy_maximal_size(adj, mask)
+    if _clique_cover_bound(adj, mask) >= greedy or _hub_deletion_bound(adj) >= greedy:
+        return greedy
+    return min(greedy, _min_maximal(adj, mask, greedy, {}, None))
 
 
 # ---------------------------------------------------------------------------

@@ -173,18 +173,20 @@ def test_every_witness_rechecks_at_24_and_32():
     assert count == 283 + 633
 
 
-def test_every_witness_rechecks_at_48():
-    # the twin-keyed memo of min_match_number serves these clique cores with
-    # pendant, matching and star blocks; each tuple is checked against the
-    # families' closed form as well as the query
+def test_every_witness_rechecks_at_48_and_64():
+    # min_match_number settles each of these at its root: the first-fit
+    # matching is minimum, and the clique-cover bounds of the components of
+    # G - hub add up to it; each tuple is checked against the families'
+    # closed form as well as the query
     count = 0
-    for tup in sorted(feasible_set(48)):
-        query = TupleQuery(*tup, 48)
-        rep = synthesize_witness(query)
-        assert predict_invariants(witness_spec(query)) == (48, tup)
-        assert rep.graph.n == 48 and tuple(rep.verified) == tup
-        count += 1
-    assert count == 2005
+    for n in (48, 64):
+        for tup in sorted(feasible_set(n)):
+            query = TupleQuery(*tup, n)
+            rep = synthesize_witness(query)
+            assert predict_invariants(witness_spec(query)) == (n, tup)
+            assert rep.graph.n == n and tuple(rep.verified) == tup
+            count += 1
+    assert count == 2005 + 4593
 
 
 def test_report_json_deterministic():
