@@ -31,8 +31,8 @@ number does not change.  The rows take one set lookup per edge and a few
 mask ORs per kept edge; ``_alpha`` takes simplicial vertices at every
 node.  On a 2-CPU host every witness of every feasible tuple at n = 24,
 32, 48 and 64 is re-checked in at most about 0.006 s (all 7,514 in about
-4 s), and every one with n = 2 to 64 (76,480) in about 40 s, 6 s of it
-in ``min_match_number``, which takes about 10 ms on seeded G(30, 0.5)
+4 s), and every one with n = 2 to 64 (76,480) in 30 to 40 s, 4 to 6 s of
+it in ``min_match_number``, which takes about 10 ms on seeded G(30, 0.5)
 graphs and at most about 7 s on the G(64, p) graphs tried;
 ``ind_match_number`` takes at most about 15 ms on a 64-cycle, on the prism
 ladder C3 x P21 and on twelve chained 5-cycles, and up to about 9 s on the
