@@ -8,6 +8,7 @@ internally everything is a bitmask.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -22,12 +23,49 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _transpose_rounds(stride: int) -> tuple[tuple[int, int], ...]:
+    """The block-swap rounds that transpose a stride x stride bit matrix
+    packed row by row into one int, bit r * stride + c for entry (r, c)
+    (Warren, Hacker's Delight, 2nd ed., section 7-3).
+
+    The round for a power of two j swaps entry (r, c) with (r + j, c - j)
+    wherever bit j of r is clear and bit j of c is set, which exchanges
+    bit j of the row and column numbers; one round per bit transposes.  A
+    round is ``(shift, mask)``: the mask marks (r, c), and (r + j, c - j)
+    lies ``shift`` = j * (stride - 1) bits above it.
+    """
+    rounds = []
+    j = stride >> 1
+    while j:
+        columns = sum(1 << c for c in range(stride) if c & j)
+        mask = sum(columns << r * stride for r in range(stride) if not r & j)
+        rounds.append((j * (stride - 1), mask))
+        j >>= 1
+    return tuple(rounds)
+
+
+# the rounds for each stride 2^k that a graph of at most 64 vertices uses
+_TRANSPOSE_ROUNDS = tuple(_transpose_rounds(1 << k) for k in range(7))
+
+# base64 digits, in value order, to graph6 characters 63 + value
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with bitmask adjacency rows.
 
     ``labels``, when present, carries one short tag per vertex.  Only
     ``build_family`` sets them, to mark construction blocks.
+
+    Construction checks each row for out-of-range vertices and a loop, row
+    by row, and then symmetry at once: the rows, packed into one int at a
+    stride of the next power of two of at least n, must equal their
+    transpose (``_transpose_rounds``).  A graph that breaks symmetry is
+    reported by its first row v, and in it the first u, with v missing
+    from ``adj[u]``, after every row passed the other two checks.
     """
 
     n: int
@@ -40,17 +78,24 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
+        stride = 1 << (self.n - 1).bit_length()
+        packed = 0
         for v, row in enumerate(self.adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
             if row >> v & 1:
                 raise ValueError(f"loop edge at vertex {v}")
-            while row:
-                low = row & -row
-                row ^= low
-                u = low.bit_length() - 1
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
+            packed |= row << v * stride
+        flipped = packed
+        for shift, mask in _TRANSPOSE_ROUNDS[stride.bit_length() - 1]:
+            swap = (flipped ^ flipped >> shift) & mask
+            flipped ^= swap ^ swap << shift
+        if flipped != packed:
+            # the lowest bit of the packed rows missing from their transpose
+            # is the first row v, and in it the first u, without v in adj[u]
+            first = packed & ~flipped
+            v, u = divmod((first & -first).bit_length() - 1, stride)
+            raise ValueError(f"asymmetric adjacency between {v} and {u}")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count does not match vertex count")
 
@@ -144,21 +189,27 @@ def is_chordal(G: Graph) -> bool:
 def graph6_encode(G: Graph) -> str:
     """Encode in graph6: size header, then upper-triangle bits column-major.
 
-    Above the diagonal, column ``col`` holds rows 0..col-1, which by
-    symmetry are the bits of ``adj[col]`` below ``col``; each column is
-    written as one bit string from bit 0 up.  The columns are joined,
-    padded with zeros to a multiple of 6 and cut into 6-bit characters.
+    The body is the pair mask of ``_pair_rows``, the first bit as bit 0:
+    column ``col``, rows 0..col-1, is by symmetry ``adj[col]`` below
+    ``col``, at bit C(col, 2).  Reversed once and padded with zeros to
+    whole 24-bit groups, its bytes are cut into 6-bit digits by base64,
+    and a translation table turns digit d into the character 63 + d; the
+    digits past the C(n, 2) bits, padded to a multiple of 6, are cut off.
     """
     n = G.n
     if n <= 62:
-        head = [n + 63]
+        head = chr(n + 63)
     else:
-        head = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
-    bits = "".join(format(G.adj[col] & ~(-1 << col), f"0{col}b")[::-1]
-                   for col in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    body = [int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6)]
-    return "".join(map(chr, head + body))
+        head = "".join(map(chr, (126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63),
+                                 63 + (n & 63))))
+    pairs = 0
+    for col in range(1, n):
+        pairs |= (G.adj[col] & ~(-1 << col)) << (col * (col - 1) // 2)
+    nbits = n * (n - 1) // 2
+    width = -(-nbits // 24) * 24
+    body = int(format(pairs, f"0{width}b")[::-1], 2).to_bytes(width // 8, "big")
+    digits = binascii.b2a_base64(body, newline=False).translate(_BASE64_TO_GRAPH6)
+    return head + digits[:(nbits + 5) // 6].decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:

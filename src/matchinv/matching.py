@@ -24,15 +24,19 @@ swapping twins of G, whose subgraphs are isomorphic, share one entry.
 of the first-fit matching: the clique-cover bound of G, and the same bound
 added up over the components of G - hub, which deletion monotonicity and
 additivity allow.  They settle every family witness up to 64 vertices.
-``ind_match_number`` is ``_alpha`` on the edge conflict graph, with one row
-per distinct edge neighbourhood S_e = N(a) | N(b): edges with equal
-S_e are true twins there, so one of them is enough and the independence
-number does not change.  The rows take one set lookup per edge and a few
-mask ORs per kept edge; ``_alpha`` takes simplicial vertices at every
-node.  On a 2-CPU host every witness of every feasible tuple at n = 24,
-32, 48 and 64 is re-checked in at most about 0.006 s (all 7,514 in about
-4 s), and every one with n = 2 to 64 (76,480) in 30 to 40 s, 4 to 6 s of
-it in ``min_match_number``, which takes about 10 ms on seeded G(30, 0.5)
+``ind_match_number`` is ``_alpha`` on the edge conflict graph of the kept
+edges.  An edge whose S_e = N(a) | N(b) holds the S_f of another edge f
+is dominated in the conflict graph, so it may go without changing the
+independence number.  Two cases are cheap to find: an edge to a leaf or
+a true twin of a vertex v has S_e = N[v], inside the S_e of every edge at
+v, so at such a v only that edge is kept; and of the edges with one S_e,
+true twins in the conflict graph, only the first is kept.  The rows take one pass over the vertices, one set lookup
+per edge among the other vertices, and mask ORs over the ends of the
+kept edges; ``_alpha`` takes simplicial vertices at every node.  On a
+2-CPU host every witness of every feasible tuple at n = 24, 32, 48 and
+64 is re-checked in at most about 0.007 s (all 7,514 in about 2 s), and
+every one with n = 2 to 64 (76,480) in about 20 s, 5 s of it in
+``min_match_number``, which takes about 10 ms on seeded G(30, 0.5)
 graphs and at most about 7 s on the G(64, p) graphs tried;
 ``ind_match_number`` takes at most about 15 ms on a 64-cycle, on the prism
 ladder C3 x P21 and on twelve chained 5-cycles, and up to about 9 s on the
@@ -510,58 +514,101 @@ def min_match_number(G: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def _edge_conflicts(G: Graph) -> tuple[int, ...]:
-    """Adjacency rows of the edge conflict graph, one per distinct S_e.
+    """Adjacency rows of the edge conflict graph on the kept edges of G.
 
     Two edges conflict in an induced matching when they share a vertex or
     some edge of G joins their endpoints, that is, when the second meets
     S_e = N(a) | N(b) for the first edge e = {a, b}; S_e is N[a] | N[b],
-    as a and b are neighbours.  Edges with equal S_e are true twins in the
-    conflict graph: an independent set holds at most one of them, and
-    either can stand in for the other.  So only the first edge of each S_e
-    in ``G.edges()`` order is kept, and the independence number does not
-    change.  Like ``G.adj``, a row leaves out its own edge.  Built by mask
-    ORs: one pass over the adjacency rows numbers the kept edges and fills
-    ``incident[v]``, the kept edges at v; a second fills ``reach[v]``, the
-    OR of ``incident`` over N(v); the row of {a, b} is then
-    ``reach[a] | reach[b]`` less {a, b}.
+    as a and b are neighbours.  If S_f lies inside S_e, every edge that
+    conflicts with f conflicts with e, so some maximum independent set of
+    the conflict graph avoids e (the domination rule of Akiba and Iwata,
+    Theor. Comput. Sci. 2016), and e may go.  Two cases are cheap to find:
+
+    * a vertex v with a leaf or a true twin u: S_vu = N[v] lies inside the
+      S_e of every edge e at v, so {v, u} stands for all of them;
+    * edges with equal S_e, true twins in the conflict graph: the first
+      one met stands for the others.
+
+    So the edges at such a v go, but for one {v, u} per distinct N[v],
+    and the edges among the other vertices are kept once per S_e, in
+    ``G.edges()`` order.  The kept S_e are distinct, each dropped edge has
+    a kept one whose S_f lies inside its own S_e, and the independence
+    number does not change.  Like ``G.adj``, a row leaves out its own
+    edge.  ``incident[x]`` holds the kept edges at x, ``reach[v]``, for an
+    end v of a kept edge, their OR over the kept edges' ends in N(v), and
+    the row of {a, b} is ``reach[a] | reach[b]`` less {a, b}.
     """
     adj = G.adj
-    incident = [0] * G.n
     ends = []
     seen = set()
-    for a in range(G.n):
-        upper = adj[a] >> (a + 1) << (a + 1)
+    incident = [0] * G.n
+    pinned = touched = 0
+    closed = {}
+    for u, row in enumerate(adj):
+        if row & (row - 1):
+            v = closed.setdefault(row | 1 << u, u)  # the first true twin
+            if v == u:
+                continue
+        elif row:
+            v = row.bit_length() - 1  # u is a leaf at v
+        else:
+            continue
+        pinned |= 1 << v | 1 << u
+        key = adj[v] | row
+        if key not in seen:
+            seen.add(key)
+            bit = 1 << len(ends)
+            incident[v] |= bit
+            incident[u] |= bit
+            touched |= 1 << v | 1 << u
+            ends.append((v, u))
+    for a, row in enumerate(adj):
+        if pinned >> a & 1:
+            continue
+        upper = row >> (a + 1) << (a + 1) & ~pinned
         while upper:
             low = upper & -upper
             upper ^= low
             b = low.bit_length() - 1
-            key = adj[a] | adj[b]
-            if key in seen:
-                continue
-            seen.add(key)
-            incident[a] |= 1 << len(ends)
-            incident[b] |= 1 << len(ends)
-            ends.append((a, b))
-    reach = []
-    for row in adj:
+            key = row | adj[b]
+            if key not in seen:
+                seen.add(key)
+                bit = 1 << len(ends)
+                incident[a] |= bit
+                incident[b] |= bit
+                touched |= 1 << a | low
+                ends.append((a, b))
+    reach = incident[:]
+    rem = touched
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        v = low.bit_length() - 1
+        nb = adj[v] & touched
         mask = 0
-        while row:
-            low = row & -row
-            row ^= low
+        while nb:
+            low = nb & -nb
+            nb ^= low
             mask |= incident[low.bit_length() - 1]
-        reach.append(mask)
-    return tuple((reach[a] | reach[b]) ^ 1 << e for e, (a, b) in enumerate(ends))
+        reach[v] = mask
+    rows = []
+    for a, b in ends:
+        rows.append((reach[a] | reach[b]) ^ 1 << len(rows))
+    return tuple(rows)
 
 
 def ind_match_number(G: Graph) -> int:
     """Size of a maximum induced matching (exact).
 
     The independence number of the edge conflict graph, by ``_alpha``, on
-    one edge per distinct S_e.  The conflict graph of G is the square of
-    its line graph, which is chordal when G is (Cameron 1989); the kept
-    edges induce a subgraph of it, which is chordal too, so it always has a
-    simplicial vertex, a simplicial edge of G; on the family witnesses
-    tried, ``_alpha``'s simplicial rule leaves no branching.
+    the edges ``_edge_conflicts`` keeps: one edge to a leaf or true twin
+    of each vertex that has one, in place of every edge at it, and among
+    the other edges one per distinct S_e.  The conflict graph of G is the
+    square of its line graph, which is chordal when G is (Cameron 1989);
+    the kept edges induce a subgraph of it, which is chordal too, so it
+    always has a simplicial vertex, a simplicial edge of G; on the family
+    witnesses tried, ``_alpha``'s simplicial rule leaves no branching.  A
+    family witness on n vertices keeps at most n // 2 + 1 edges.
     """
     rows = _edge_conflicts(G)
     return _alpha(rows, (1 << len(rows)) - 1, 0, {})

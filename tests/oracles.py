@@ -194,6 +194,42 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# references for the packed checks of matchinv.graph
+# ---------------------------------------------------------------------------
+
+def adjacency_error(n: int, adj: tuple[int, ...]) -> str | None:
+    """The first fault of the rows of an n-vertex graph, visited row by row
+    and, in each row, edge by edge, or None: a row with out-of-range
+    vertices, a loop, or an edge {v, u} with v missing from ``adj[u]``.
+    ``Graph`` reports the same text for a graph with one fault."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return f"adjacency row {v} mentions out-of-range vertices"
+        if row >> v & 1:
+            return f"loop edge at vertex {v}"
+        for u in range(n):
+            if row >> u & 1 and not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {v} and {u}"
+    return None
+
+
+def graph6_by_columns(G: Graph) -> str:
+    """graph6 written column by column: the size header, then for j = 1..n-1
+    the pairs {i, j}, i < j, one bit each, padded to whole 6-bit characters
+    63 + value (McKay's format description)."""
+    n = G.n
+    if n <= 62:
+        head = [n + 63]
+    else:
+        head = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
+    bits = "".join("1" if G.adj[j] >> i & 1 else "0" for j in range(n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    body = [int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6)]
+    return "".join(map(chr, head + body))
+
+
+# ---------------------------------------------------------------------------
 # the witness families: closed-form edge count and a small parameter grid
 # ---------------------------------------------------------------------------
 

@@ -64,6 +64,37 @@ def test_graph_validation():
         Graph(64, (*rows[:5], rows[5] | 1 << 64, *rows[6:]))
 
 
+def construction_error(n, adj):
+    """The text of the ValueError ``Graph(n, adj)`` raises, or None."""
+    try:
+        Graph(n, adj)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_validation_matches_the_edge_by_edge_reference():
+    # each single-bit flip of a valid graph, out-of-range bit n included,
+    # is one fault, so the packed check names the reference's; flipping
+    # both bits of a pair leaves a valid graph
+    rng = random.Random(41)
+    for n in range(1, 65):
+        for density in (0.1, 0.5, 0.95):
+            adj = oracles.random_graph(rng, n, density).adj
+            assert construction_error(n, adj) is None
+            for _ in range(12):
+                v, u = rng.randrange(n), rng.randrange(n + 1)
+                rows = list(adj)
+                rows[v] ^= 1 << u
+                flipped = tuple(rows)
+                assert construction_error(n, flipped) == oracles.adjacency_error(n, flipped)
+                assert construction_error(n, flipped) is not None
+                if u < n and u != v:
+                    rows[u] ^= 1 << v
+                    assert construction_error(n, tuple(rows)) is None
+                    assert oracles.adjacency_error(n, tuple(rows)) is None
+
+
 def test_standard_constructors():
     assert path_graph(4).edges() == [(0, 1), (1, 2), (2, 3)]
     assert path_graph(1).edge_count == 0
@@ -123,6 +154,16 @@ def test_graph6_known_strings():
     assert graph6_decode("@").n == 1
     assert graph6_decode("?").n == 0
     assert graph6_decode("DQc").n == 5
+
+
+def test_graph6_encode_matches_the_column_reference():
+    rng = random.Random(43)
+    for n in range(65):
+        for density in (0.0, 0.2, 0.5, 1.0):
+            G = oracles.random_graph(rng, n, density)
+            text = graph6_encode(G)
+            assert text == oracles.graph6_by_columns(G)
+            assert text.startswith("~") == (n >= 63)
 
 
 def test_graph6_round_trip_exhaustive():

@@ -175,26 +175,67 @@ def conflicts_by_definition(G):
     return tuple(masks)
 
 
+def kept_edges(G):
+    """The edges ``_edge_conflicts`` keeps, in its order, from the rule: an
+    edge {v, u} to a leaf or true twin u of v, one per closed
+    neighbourhood N[v], then the edges with neither end such a v or u, one
+    per S_e = N[a] | N[b], in ``G.edges()`` order."""
+    closed = [G.adj[v] | 1 << v for v in range(G.n)]
+    reps, pinned = [], set()
+    for u in range(G.n):
+        nb = list(_bits(G.adj[u]))
+        twins = [v for v in nb if closed[v] == closed[u]]
+        if len(nb) == 1 or (len(nb) > 1 and twins and twins[0] < u):
+            v = nb[0] if len(nb) == 1 else twins[0]
+            reps.append((v, u))
+            pinned |= {v, u}
+    rest = [(a, b) for a, b in G.edges() if a not in pinned and b not in pinned]
+    kept, keys = [], []
+    for a, b in reps + rest:
+        if closed[a] | closed[b] not in keys:
+            kept.append((a, b))
+            keys.append(closed[a] | closed[b])
+    return kept
+
+
 def test_edge_conflicts_match_the_definition():
     # in K64 every edge has the whole vertex set as S_e, so one row is left
     assert _edge_conflicts(complete_graph(64)) == (0,)
     graphs = [from_edge_list(0, []), from_edge_list(1, []),
               from_edge_list(9, []), star_graph(20), cycle_graph(64),
-              petersen_graph(), complete_graph(12)]
+              petersen_graph(), complete_graph(12), path_graph(2),
+              with_leaves(complete_bipartite_graph(2, 3), 0, 2),
+              build_family(FamilySpec("G1", 3, 1, 2))]
     rng = random.Random(15)
     for n in (2, 5, 12, 30, 48, 64):
-        for p in (0.05, 0.15, 0.4):
+        for p in (0.05, 0.15, 0.4, 0.9):
             graphs.append(oracles.random_graph(rng, n, p))
+    for _ in range(30):  # leaves and twins of both kinds
+        H = oracles.random_graph(rng, rng.randint(2, 7))
+        G = blow_up(H, [rng.choice(("K1", "K2", "2K1")) for _ in range(H.n)])
+        graphs.append(with_leaves(G, rng.randrange(G.n), rng.randint(0, 2)))
     for G in graphs:
-        # the rows are the conflicts among the first edge of each
-        # S_e = N(a) | N(b) in G.edges() order
-        S = [G.adj[a] | G.adj[b] for a, b in G.edges()]
-        kept = [j for j in range(len(S)) if S[j] not in S[:j]]
+        edges = G.edges()
+        S = {e: G.adj[e[0]] | G.adj[e[1]] for e in edges}
+        kept = kept_edges(G)
+        # the rows are the conflicts among the kept edges
         full = conflicts_by_definition(G)
+        index = [edges.index(e if e[0] < e[1] else e[::-1]) for e in kept]
         assert _edge_conflicts(G) == tuple(
-            sum((full[i] >> j & 1) << k for k, j in enumerate(kept)) for i in kept)
-        # every edge left out has a kept edge with the same S_e
-        assert {S[j] for j in kept} == set(S)
+            sum((full[i] >> j & 1) << k for k, j in enumerate(index)) for i in index)
+        # the kept S_e are distinct, and each dropped edge has a kept one
+        # whose S_f lies inside its own S_e, so it is dominated
+        kept_sets = [S[edges[j]] for j in index]
+        assert len(set(kept_sets)) == len(kept)
+        for e in edges:
+            assert any(f & ~S[e] == 0 for f in kept_sets), (G, e)
+
+
+def test_family_witnesses_keep_at_most_half_the_vertices_in_conflict_rows():
+    for n in (24, 48, 64):
+        for tup in sorted(feasible_set(n)):
+            G = build_family(witness_spec(TupleQuery(*tup, n)))
+            assert len(_edge_conflicts(G)) <= n // 2 + 1, (tup, n)
 
 
 def test_alpha_is_the_larger_of_floor_and_independence_number():

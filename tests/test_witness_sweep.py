@@ -4,7 +4,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-from matchinv import feasible_set
+from matchinv import TupleQuery, build_family, feasible_set, witness_spec
+from matchinv.matching import _edge_conflicts
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "witness_sweep.py"
 spec = importlib.util.spec_from_file_location("witness_sweep", TOOL)
@@ -17,12 +18,17 @@ def test_sweep_up_to_eight_vertices(capsys):
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert lines[0].split() == ["n", "tuples", "total_s", "build_s", "ind_s", "min_s",
-                                "match_s", "slowest_s"]
+                                "match_s", "slowest_s", "rows_max"]
     rows = [line.split() for line in lines[1:-1]]
     assert [row[:2] for row in rows[:-1]] == [[str(n), str(len(feasible_set(n)))]
                                              for n in range(2, 9)]
     total, steps = float(rows[-1][2]), [float(cell) for cell in rows[-1][3:7]]
     assert rows[-1][:2] == ["all", "40"] and abs(total - sum(steps)) < 1e-3
+    # the most conflict rows a witness keeps, per n and over the range
+    most = [max(len(_edge_conflicts(build_family(witness_spec(TupleQuery(*tup, n)))))
+                for tup in feasible_set(n)) for n in range(2, 9)]
+    assert most == [n // 2 for n in range(2, 9)]
+    assert [int(row[8]) for row in rows] == most + [max(most)]
     assert lines[-1].startswith("slowest tuple: (") and err == ""
 
 
