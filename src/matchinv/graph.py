@@ -198,10 +198,9 @@ def graph6_encode(G: Graph) -> str:
     """
     n = G.n
     if n <= 62:
-        head = chr(n + 63)
+        head = [n + 63]
     else:
-        head = "".join(map(chr, (126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63),
-                                 63 + (n & 63))))
+        head = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
     pairs = 0
     for col in range(1, n):
         pairs |= (G.adj[col] & ~(-1 << col)) << (col * (col - 1) // 2)
@@ -209,7 +208,7 @@ def graph6_encode(G: Graph) -> str:
     width = -(-nbits // 24) * 24
     body = int(format(pairs, f"0{width}b")[::-1], 2).to_bytes(width // 8, "big")
     digits = binascii.b2a_base64(body, newline=False).translate(_BASE64_TO_GRAPH6)
-    return head + digits[:(nbits + 5) // 6].decode("ascii")
+    return "".join(map(chr, head)) + digits[:(nbits + 5) // 6].decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:

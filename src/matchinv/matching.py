@@ -30,17 +30,17 @@ is dominated in the conflict graph, so it may go without changing the
 independence number.  Two cases are cheap to find: an edge to a leaf or
 a true twin of a vertex v has S_e = N[v], inside the S_e of every edge at
 v, so at such a v only that edge is kept; and of the edges with one S_e,
-true twins in the conflict graph, only the first is kept.  The rows take one pass over the vertices, one set lookup
-per edge among the other vertices, and mask ORs over the ends of the
-kept edges; ``_alpha`` takes simplicial vertices at every node.  On a
-2-CPU host every witness of every feasible tuple at n = 24, 32, 48 and
-64 is re-checked in at most about 0.007 s (all 7,514 in about 2 s), and
-every one with n = 2 to 64 (76,480) in about 20 s, 5 s of it in
-``min_match_number``, which takes about 10 ms on seeded G(30, 0.5)
-graphs and at most about 7 s on the G(64, p) graphs tried;
-``ind_match_number`` takes at most about 15 ms on a 64-cycle, on the prism
-ladder C3 x P21 and on twelve chained 5-cycles, and up to about 9 s on the
-sparse G(64, p) graphs tried.
+true twins in the conflict graph, only the first is kept.  The rows take
+one pass over the vertices, one set lookup per edge among the other
+vertices, and mask ORs over the ends of the kept edges; ``_alpha`` takes
+simplicial vertices at every node.  On a 2-CPU host every witness of
+every feasible tuple at n = 24, 32, 48 and 64 is re-checked in at most
+about 0.007 s (all 7,514 in about 2 s), and every one with n = 2 to 64
+(76,480) in 16 to 20 s, 4 to 5 s of it in ``min_match_number``, which
+takes about 10 ms on seeded G(30, 0.5) graphs and at most about 7 s on
+the G(64, p) graphs tried; ``ind_match_number`` takes at most about 15 ms
+on a 64-cycle, on the prism ladder C3 x P21 and on twelve chained
+5-cycles, and up to about 9 s on the sparse G(64, p) graphs tried.
 
 ``match_number`` is Edmonds' augmenting-path search with blossom
 contraction (1965).  Its first matching goes by least degree, so it matches
@@ -578,7 +578,7 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
                 incident[b] |= bit
                 touched |= 1 << a | low
                 ends.append((a, b))
-    reach = incident[:]
+    reach = [0] * G.n
     rem = touched
     while rem:
         low = rem & -rem

@@ -231,7 +231,7 @@ def test_edge_conflicts_match_the_definition():
             assert any(f & ~S[e] == 0 for f in kept_sets), (G, e)
 
 
-def test_family_witnesses_keep_at_most_half_the_vertices_in_conflict_rows():
+def test_family_witness_conflict_rows_stay_within_half_the_vertices_plus_one():
     for n in (24, 48, 64):
         for tup in sorted(feasible_set(n)):
             G = build_family(witness_spec(TupleQuery(*tup, n)))
