@@ -119,8 +119,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
-                   labels: Iterable[str] | None = None) -> Graph:
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
@@ -132,8 +131,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
             raise ValueError(f"loop edge at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    lab = tuple(labels) if labels is not None else None
-    return Graph(n, tuple(rows), lab)
+    return Graph(n, tuple(rows))
 
 
 def path_graph(n: int) -> Graph:
@@ -147,20 +145,26 @@ def path_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def _component(adj: tuple[int, ...], mask: int) -> int:
+    """The component of G[mask] that holds the lowest vertex of ``mask``;
+    0 when ``mask`` is empty."""
+    comp = frontier = mask & -mask
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier ^= 1 << v
+        new = adj[v] & mask & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 def is_connected(G: Graph) -> bool:
-    """Connectivity by one search from vertex 0.
+    """Connectivity: the component of vertex 0 is every vertex.
 
     Graphs with fewer than 2 vertices count as connected; with n = 0 the
-    search starts from the empty mask, which is the whole vertex set.
+    component of the empty mask is empty, which is the whole vertex set.
     """
-    reach = frontier = G.vertex_mask & 1
-    while frontier:
-        grown = reach
-        for u in _bits(frontier):
-            grown |= G.adj[u]
-        frontier = grown & ~reach
-        reach = grown
-    return reach == G.vertex_mask
+    return _component(G.adj, G.vertex_mask) == G.vertex_mask
 
 
 def is_chordal(G: Graph) -> bool:

@@ -15,11 +15,14 @@ Each is one recursive function that takes a mask and a bound and returns one
 number: ``_min_maximal`` the exact value when it is below the bound and a
 lower bound of at least the bound otherwise, and ``_alpha``, the one
 independence-number search, the larger of the bound and the exact value.
-``_min_maximal`` uses the paper's twin-leaf and additivity lemmas, and cuts a
-node whose independence number, from ``_alpha``, is so small that every
-maximal matching, which leaves an independent set uncovered, reaches the
-bound.  Its memo is keyed by G's twin classes, so the masks that differ by
-swapping twins of G, whose subgraphs are isomorphic, share one entry.
+``_min_maximal`` uses the paper's twin-leaf and additivity lemmas and two
+lower bounds per node.  The clique-cover bound cuts a node on entry, and a
+branch that reaches it ends the branching.  Before a connected node
+branches, the alpha cut drops it when its independence number, from
+``_alpha``, is so small that every maximal matching, which leaves an
+independent set uncovered, reaches the limit.  Its memo is keyed by G's
+twin classes, so the masks that differ by swapping twins of G, whose
+subgraphs are isomorphic, share one entry.
 ``min_match_number`` searches only when two root lower bounds fall short
 of the first-fit matching: the clique-cover bound of G, and the same bound
 added up over the components of G - hub, which deletion monotonicity and
@@ -33,14 +36,7 @@ v, so at such a v only that edge is kept; and of the edges with one S_e,
 true twins in the conflict graph, only the first is kept.  The rows take
 one pass over the vertices, one set lookup per edge among the other
 vertices, and mask ORs over the ends of the kept edges; ``_alpha`` takes
-simplicial vertices at every node.  On a 2-CPU host every witness of
-every feasible tuple at n = 24, 32, 48 and 64 is re-checked in at most
-about 0.007 s (all 7,514 in about 2 s), and every one with n = 2 to 64
-(76,480) in 16 to 20 s, 4 to 5 s of it in ``min_match_number``, which
-takes about 10 ms on seeded G(30, 0.5) graphs and at most about 7 s on
-the G(64, p) graphs tried; ``ind_match_number`` takes at most about 15 ms
-on a 64-cycle, on the prism ladder C3 x P21 and on twelve chained
-5-cycles, and up to about 9 s on the sparse G(64, p) graphs tried.
+simplicial vertices at every node.
 
 ``match_number`` is Edmonds' augmenting-path search with blossom
 contraction (1965).  Its first matching goes by least degree, so it matches
@@ -56,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .graph import Graph, _bits
+from .graph import Graph, _bits, _component
 
 
 class InvariantTriple(NamedTuple):
@@ -223,18 +219,6 @@ def _clique_cover_bound(adj: tuple[int, ...], vmask: int) -> int:
     return (vmask.bit_count() - cliques + 1) // 2
 
 
-def _component(adj: tuple[int, ...], mask: int) -> int:
-    """The component of G[mask] that holds the lowest vertex of ``mask``."""
-    comp = frontier = mask & -mask
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier ^= 1 << v
-        new = adj[v] & mask & ~comp
-        comp |= new
-        frontier |= new
-    return comp
-
-
 def _hub_deletion_bound(adj: tuple[int, ...]) -> int:
     """Lower bound on min maximal matching of G: the clique-cover bounds of
     the components of G - hub, added up.
@@ -371,7 +355,7 @@ def _twin_key(mask: int, classes: tuple[tuple[int, tuple[int, ...]], ...]) -> in
 
 def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
                  memo: dict[int, tuple[int, bool]],
-                 classes: tuple[tuple[int, tuple[int, ...]], ...] | None) -> int:
+                 classes: tuple[tuple[int, tuple[int, ...]], ...]) -> int:
     """Min maximal matching of G[mask] when below ``limit``.
 
     Otherwise the result is a lower bound of at least ``limit``.  ``memo``
@@ -380,8 +364,7 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
     one solver call; ``_alpha`` keeps its results there under negative
     keys.  The value, and the bound at a limit, depend on G[mask] only up
     to isomorphism, so every mask with the same key may read the entry.
-    ``classes`` are G's ``_twin_classes``, or None: the first node that
-    reaches the memo builds them, so a root that a bound cuts never does.
+    ``classes`` are G's ``_twin_classes``.
     """
     # isolated vertices leave the clique-cover bound as it is, so it may cut
     # before the reduction does
@@ -404,11 +387,6 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
     mask = keep
     if not mask:
         return 0
-    lo = max(cover, (forced.bit_count() + 1) // 2)
-    if lo >= limit:
-        return lo
-    if classes is None:
-        classes = _twin_classes(adj)
     key = _twin_key(mask, classes)
     hit = memo.get(key)
     if hit is not None and (hit[1] or hit[0] >= limit):
@@ -416,14 +394,9 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
     # components add up (additivity lemma)
     comp = _component(adj, mask)
     if comp != mask:
-        rest = mask & ~comp
-        rest_lo = max(_clique_cover_bound(adj, rest),
-                      ((forced & rest).bit_count() + 1) // 2)
-        value = _min_maximal(adj, comp, limit - rest_lo, memo, classes)
-        if value < limit - rest_lo:
-            value += _min_maximal(adj, rest, limit - value, memo, classes)
-        else:
-            value += rest_lo
+        value = _min_maximal(adj, comp, limit, memo, classes)
+        if value < limit:
+            value += _min_maximal(adj, mask & ~comp, limit - value, memo, classes)
     else:
         # the uncovered vertices are independent, so the value is at least
         # ceil((|mask| - alpha) / 2), which reaches the limit iff alpha <= t;
@@ -465,9 +438,9 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
                                          classes)
                 if found < value:
                     value = found
-                    if value == lo:
-                        memo[key] = (lo, True)
-                        return lo
+                    if value == cover:
+                        memo[key] = (cover, True)
+                        return cover
     memo[key] = (value, value < limit)
     return value
 
@@ -499,14 +472,14 @@ def min_match_number(G: Graph) -> int:
     itself, so masks with one key induce isomorphic graphs, whose value,
     or bound at a limit, is the same, so on a graph with many twins, such
     as a blow-up of a small graph, twin-swapped subproblems take one entry.
-    The classes are built at the first node that reaches the memo, so a
-    graph whose root a bound settles builds none.
+    The classes are built when the search starts, so a graph whose root a
+    bound settles builds none.
     """
     adj, mask = G.adj, G.vertex_mask
     greedy = _greedy_maximal_size(adj, mask)
     if _clique_cover_bound(adj, mask) >= greedy or _hub_deletion_bound(adj) >= greedy:
         return greedy
-    return min(greedy, _min_maximal(adj, mask, greedy, {}, None))
+    return min(greedy, _min_maximal(adj, mask, greedy, {}, _twin_classes(adj)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,13 @@ from .graph import MAX_VERTICES, Graph, graph6_encode
 from .matching import InvariantTriple, invariant_triple
 
 # Closed set of infeasibility reasons, in first-violated-constraint order.
-REASON_P_BELOW_1 = "P_BELOW_1"
-REASON_CHAIN_P_GT_Q = "CHAIN_P_GT_Q"
-REASON_CHAIN_Q_GT_R = "CHAIN_Q_GT_R"
-REASON_R_GT_2Q = "R_GT_2Q"
-REASON_R_GT_HALF_N = "R_GT_HALF_N"
-REASON_AV_EXCLUSION = "AV_EXCLUSION"
-
 REASONS = (
-    REASON_P_BELOW_1,
-    REASON_CHAIN_P_GT_Q,
-    REASON_CHAIN_Q_GT_R,
-    REASON_R_GT_2Q,
-    REASON_R_GT_HALF_N,
-    REASON_AV_EXCLUSION,
+    "P_BELOW_1",
+    "CHAIN_P_GT_Q",
+    "CHAIN_Q_GT_R",
+    "R_GT_2Q",
+    "R_GT_HALF_N",
+    "AV_EXCLUSION",
 )
 
 
@@ -59,21 +52,22 @@ def _check_n(n: int) -> None:
 
 
 def is_feasible(query: TupleQuery) -> tuple[bool, str | None]:
-    """Feasibility of the triple plus the first violated constraint, if any."""
+    """Feasibility of the triple plus the first violated constraint, if any,
+    as its entry of ``REASONS``."""
     p, q, r, n = query
     _check_n(n)
     if p < 1:
-        return False, REASON_P_BELOW_1
+        return False, REASONS[0]
     if p > q:
-        return False, REASON_CHAIN_P_GT_Q
+        return False, REASONS[1]
     if q > r:
-        return False, REASON_CHAIN_Q_GT_R
+        return False, REASONS[2]
     if r > 2 * q:
-        return False, REASON_R_GT_2Q
+        return False, REASONS[3]
     if r > n // 2:
-        return False, REASON_R_GT_HALF_N
+        return False, REASONS[4]
     if n % 2 == 0 and p >= 2 and q == r == n // 2:
-        return False, REASON_AV_EXCLUSION
+        return False, REASONS[5]
     return True, None
 
 

@@ -364,11 +364,6 @@ def verify_av(n: int) -> VerificationReport:
         elapsed=time.perf_counter() - t0)
 
 
-def _random_graph(rng: random.Random, n: int) -> Graph:
-    """A uniformly random labeled graph on n vertices."""
-    return _from_pair_mask(n, rng.getrandbits(math.comb(n, 2)))
-
-
 def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
                        seed: int = 0) -> VerificationReport:
     """Structural lemma checks on the edge-mask tables.
@@ -565,7 +560,7 @@ def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationRepo
     failures: list[FailureRecord] = []
     connected = 0
     for _ in range(count):
-        G = _random_graph(rng, n)
+        G = _from_pair_mask(n, rng.getrandbits(math.comb(n, 2)))
         if not is_connected(G):
             continue
         connected += 1

@@ -17,6 +17,7 @@ from matchinv import (
     path_graph,
     to_dot,
 )
+from matchinv.graph import _component
 from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
                      disjoint_union, star_graph)
 
@@ -114,6 +115,18 @@ def test_connectivity():
     # one 64-vertex path, then the same vertices as two 32-vertex paths
     assert is_connected(path_graph(64))
     assert not is_connected(disjoint_union(path_graph(32), path_graph(32)))
+
+
+def test_component_of_induced_subgraphs():
+    # the solvers search G[mask] for a proper sub-mask, whose edges to the
+    # vertices outside it must not count
+    for n in range(6):
+        for G in all_graphs(n):
+            for mask in range(1, 1 << n):
+                inside = from_edge_list(n, [(u, v) for u, v in G.edges()
+                                            if mask >> u & mask >> v & 1])
+                low = (mask & -mask).bit_length() - 1
+                assert _component(G.adj, mask) == oracles.component(inside, low), (G, mask)
 
 
 def test_chordal_examples():
@@ -237,7 +250,7 @@ def test_graph6_round_trips_the_benchmark_pool():
 
 
 def test_to_dot():
-    G = from_edge_list(3, [(0, 1)], labels=("a", "b", "c"))
+    G = Graph(3, (0b10, 0b01, 0), ("a", "b", "c"))
     assert to_dot(G) == ('graph G {\n  0 [label="a"];\n  1 [label="b"];\n'
                          '  2 [label="c"];\n  0 -- 1;\n}\n')
     assert to_dot(path_graph(2)) == "graph G {\n  0;\n  1;\n  0 -- 1;\n}\n"

@@ -133,11 +133,11 @@ def test_component_additivity_spot():
 def test_min_maximal_is_exact_below_its_limit():
     # below the limit the value, otherwise a bound between limit and value;
     # a memo filled under one limit must serve the next, with or without
-    # twin keys, and with the classes built by the first node that needs them
+    # twin keys
     for n in range(6):
         for G in all_graphs(n):
             value = oracles.min_match_number(G)
-            for classes in ((), _twin_classes(G.adj), None):
+            for classes in ((), _twin_classes(G.adj)):
                 shared = {}
                 for limit in (3, 2, 1, 0):
                     for memo in ({}, shared):
@@ -338,7 +338,7 @@ def test_memo_keeps_only_improving_exact_values():
 
 
 def test_component_limit_uses_the_other_parts_own_bound():
-    # P4 plus an edge: only the P4's forced vertices bound the P4
+    # P4 plus an edge: the second part's limit is what the first leaves
     G = from_edge_list(6, [(0, 2), (0, 3), (1, 4), (3, 5)])
     assert min_match_number(G) == oracles.min_match_number(G) == 2
 

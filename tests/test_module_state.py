@@ -68,7 +68,6 @@ PUBLIC_NAMES = [
 
 # public names that no package module reads, each with the reason it stays
 NO_PACKAGE_CALLER = {
-    "REASONS": "documents the reason codes that is_feasible returns",
     "path_graph": "perfbench/test_perfbench.py calls matchinv.path_graph",
 }
 

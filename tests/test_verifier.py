@@ -383,8 +383,9 @@ def test_lemma_suite_chain_catches_table_fault(monkeypatch):
 # every solver answer is one too high, in report order: the 30 additivity
 # samples with their component sums, then the 30 suspension samples with
 # the induced matching number the tables give.  They were taken while the
-# samples were still drawn as Graph objects, one _random_graph call per
-# draw, so they pin the random stream and the sampled graphs.
+# samples were still drawn as Graph objects, each one
+# _from_pair_mask(n, rng.getrandbits(C(n, 2))) as verify_first_main_sampled
+# still draws them, so they pin the random stream and the sampled graphs.
 _ADDITIVITY_RECORDS = [
     ('GO???G', (2, 2, 2)),
     ('H]W??GF', (2, 3, 4)),
