@@ -337,7 +337,7 @@ def test_memo_keeps_only_improving_exact_values():
     assert min_match_number(G) == oracles.min_match_number(G) == 3
 
 
-def test_component_limit_uses_the_other_parts_own_bound():
+def test_component_split_gives_the_second_part_what_the_first_leaves():
     # P4 plus an edge: the second part's limit is what the first leaves
     G = from_edge_list(6, [(0, 2), (0, 3), (1, 4), (3, 5)])
     assert min_match_number(G) == oracles.min_match_number(G) == 2
