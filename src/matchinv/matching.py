@@ -3,7 +3,7 @@
 Three numbers per graph:
 
 * ``match_number``     -- maximum matching size (polynomial, Edmonds'
-  blossom search from a least-degree first matching)
+  blossom search from a first-fit matching in degree order)
 * ``min_match_number`` -- minimum maximal matching size (NP-hard, exact
   branch and bound over vertex masks; a matching is maximal iff the
   uncovered vertices form an independent set)
@@ -39,10 +39,11 @@ vertices, and mask ORs over the ends of the kept edges; ``_alpha`` takes
 simplicial vertices at every node.
 
 ``match_number`` is Edmonds' augmenting-path search with blossom
-contraction (1965).  Its first matching goes by least degree, so it matches
-each pendant vertex whose neighbour is still free, and a root whose search
-failed never gains an augmenting path later, so the last exposed vertex is
-not searched from.
+contraction (1965).  Its first matching is ``_first_fit`` over the vertices
+by ascending degree, so it matches each pendant vertex whose neighbour is
+still free; the same first-fit in index order gives ``min_match_number``
+its upper bound.  A root whose search failed never gains an augmenting
+path later, so the last exposed vertex is not searched from.
 
 Measured figures are in the README, under "Limits and caveats".
 """
@@ -50,7 +51,7 @@ Measured figures are in the README, under "Limits and caveats".
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, _bits, _component
 
@@ -67,18 +68,33 @@ class InvariantTriple(NamedTuple):
 # maximum matching (blossom augmentation)
 # ---------------------------------------------------------------------------
 
+def _first_fit(adj: tuple[int, ...], order: Iterable[int]) -> tuple[list[int], int]:
+    """A maximal matching: each vertex of ``order`` that is still free is
+    matched to its lowest free neighbour.  Returns the mate array (-1 for
+    a free vertex) and the mask of the free vertices.
+    """
+    mate = [-1] * len(adj)
+    free = (1 << len(adj)) - 1
+    for v in order:
+        nb = adj[v] & free
+        if free >> v & 1 and nb:
+            u = (nb & -nb).bit_length() - 1
+            mate[v], mate[u] = u, v
+            free &= ~(1 << v | 1 << u)
+    return mate, free
+
+
 def _blossom_matching(n: int, adj: tuple[int, ...]) -> list[int]:
     """Maximum matching as a mate array (Edmonds, "Paths, trees, and
     flowers", 1965): augmenting-path searches that contract odd cycles.
 
     Any first matching gives the maximum once the searches have run; a good
-    one leaves few exposed vertices to search from.  This one visits the
-    vertices by ascending degree and matches each free one to its free
-    neighbour of least degree, so it matches each pendant vertex whose
-    neighbour is still free; a pendant edge lies in some maximum matching.
-    Karp and Sipser take such edges by the remaining degree; this seed
-    sorts once, by the degree in G.
-    A first-fit seed would pair the clique vertices of a family witness with
+    one leaves few exposed vertices to search from.  This one is
+    ``_first_fit`` over the vertices by ascending degree.  A pendant
+    vertex's turn comes before that of every vertex of higher degree, so it
+    is matched whenever its neighbour is still free, and a pendant edge lies
+    in some maximum matching.  The order matters: in index order,
+    first-fit would pair the clique vertices of a family witness with
     each other and leave each pendant to a search through the clique.
 
     The searches start from the exposed vertices in the same order.  A root
@@ -87,16 +103,8 @@ def _blossom_matching(n: int, adj: tuple[int, ...]) -> list[int]:
     an exposed vertex not yet searched, and the last unsearched one needs no
     search.  The search reads the adjacency rows ``adj`` bit by bit.
     """
-    degree = [row.bit_count() for row in adj]
-    order = sorted(range(n), key=degree.__getitem__)
-    mate = [-1] * n
-    free = (1 << n) - 1
-    for v in order:
-        nb = adj[v] & free
-        if free >> v & 1 and nb:
-            u = min(_bits(nb), key=degree.__getitem__)
-            mate[v], mate[u] = u, v
-            free &= ~(1 << v | 1 << u)
+    order = sorted(range(n), key=lambda v: adj[v].bit_count())
+    mate, free = _first_fit(adj, order)
 
     def find_augmenting(root: int) -> bool:
         parent = [-1] * n
@@ -173,29 +181,12 @@ def _blossom_matching(n: int, adj: tuple[int, ...]) -> list[int]:
 
 def match_number(G: Graph) -> int:
     """Size of a maximum matching."""
-    mate = _blossom_matching(G.n, G.adj)
-    return sum(1 for v in range(G.n) if mate[v] != -1) // 2
+    return (G.n - _blossom_matching(G.n, G.adj).count(-1)) // 2
 
 
 # ---------------------------------------------------------------------------
 # minimum maximal matching
 # ---------------------------------------------------------------------------
-
-def _greedy_maximal_size(adj: tuple[int, ...], vmask: int) -> int:
-    """Size of the first-fit maximal matching inside the induced subgraph."""
-    size = 0
-    rem = vmask
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        nb = adj[v] & rem
-        if nb:
-            u = (nb & -nb).bit_length() - 1
-            rem &= ~((1 << v) | (1 << u))
-            size += 1
-        else:
-            rem ^= 1 << v
-    return size
-
 
 def _clique_cover_bound(adj: tuple[int, ...], vmask: int) -> int:
     """Lower bound on min maximal matching of the induced subgraph.
@@ -448,13 +439,13 @@ def _min_maximal(adj: tuple[int, ...], mask: int, limit: int,
 def min_match_number(G: Graph) -> int:
     """Size of a minimum maximal matching (exact).
 
-    The first-fit matching's size is an upper bound, and the root tries two
-    lower bounds before any search: the clique-cover bound of G, and, when
-    that falls short, ``_hub_deletion_bound``, the clique-cover bounds of
-    the components of G - hub added up.  If either reaches the first-fit
-    size, that size is the value.  On the family witnesses of every
-    feasible tuple up to 64 vertices one of them does, so these take no
-    search, memo or twin classes.
+    The size of ``_first_fit`` in index order is an upper bound, and the
+    root tries two lower bounds before any search: the clique-cover bound
+    of G, and, when that falls short, ``_hub_deletion_bound``, the
+    clique-cover bounds of the components of G - hub added up.  If either
+    reaches the first-fit size, that size is the value.  On the family
+    witnesses of every feasible tuple up to 64 vertices one of them does,
+    so these take no search, memo or twin classes.
 
     Otherwise branch and bound over vertex masks with the first-fit size as
     the first limit.  Each node drops isolated vertices and all but one leaf
@@ -476,7 +467,7 @@ def min_match_number(G: Graph) -> int:
     bound settles builds none.
     """
     adj, mask = G.adj, G.vertex_mask
-    greedy = _greedy_maximal_size(adj, mask)
+    greedy = (G.n - _first_fit(adj, range(G.n))[1].bit_count()) // 2
     if _clique_cover_bound(adj, mask) >= greedy or _hub_deletion_bound(adj) >= greedy:
         return greedy
     return min(greedy, _min_maximal(adj, mask, greedy, {}, _twin_classes(adj)))
@@ -512,10 +503,8 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
     the row of {a, b} is ``reach[a] | reach[b]`` less {a, b}.
     """
     adj = G.adj
-    ends = []
-    seen = set()
-    incident = [0] * G.n
-    pinned = touched = 0
+    pairs = []
+    pinned = 0
     closed = {}
     for u, row in enumerate(adj):
         if row & (row - 1):
@@ -527,14 +516,7 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
         else:
             continue
         pinned |= 1 << v | 1 << u
-        key = adj[v] | row
-        if key not in seen:
-            seen.add(key)
-            bit = 1 << len(ends)
-            incident[v] |= bit
-            incident[u] |= bit
-            touched |= 1 << v | 1 << u
-            ends.append((v, u))
+        pairs.append((v, u))
     for a, row in enumerate(adj):
         if pinned >> a & 1:
             continue
@@ -542,15 +524,20 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
         while upper:
             low = upper & -upper
             upper ^= low
-            b = low.bit_length() - 1
-            key = row | adj[b]
-            if key not in seen:
-                seen.add(key)
-                bit = 1 << len(ends)
-                incident[a] |= bit
-                incident[b] |= bit
-                touched |= 1 << a | low
-                ends.append((a, b))
+            pairs.append((a, low.bit_length() - 1))
+    ends = []
+    seen = set()
+    incident = [0] * G.n
+    touched = 0
+    for a, b in pairs:
+        key = adj[a] | adj[b]
+        if key not in seen:
+            seen.add(key)
+            bit = 1 << len(ends)
+            incident[a] |= bit
+            incident[b] |= bit
+            touched |= 1 << a | 1 << b
+            ends.append((a, b))
     reach = [0] * G.n
     rem = touched
     while rem:

@@ -23,8 +23,8 @@ from matchinv import (
     witness_spec,
 )
 from matchinv.graph import _bits
-from matchinv.matching import (_alpha, _blossom_matching, _edge_conflicts, _min_maximal,
-                               _twin_classes, _twin_key)
+from matchinv.matching import (_alpha, _blossom_matching, _edge_conflicts, _first_fit,
+                               _min_maximal, _twin_classes, _twin_key)
 from matchinv.verifier import _invariant_tables
 from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
                      disjoint_union, star_graph)
@@ -93,6 +93,20 @@ def test_blossom_mate_is_a_maximum_matching_up_to_six_vertices():
         match = _invariant_tables(n)[2]
         for mask, G in enumerate(all_graphs(n)):
             assert matching_size(G, _blossom_matching(G.n, G.adj)) == match[mask], mask
+
+
+def test_first_fit_is_a_maximal_matching_in_any_order():
+    # every labeled graph with n <= 5, by index, by ascending degree and
+    # reversed
+    for n in range(6):
+        for G in all_graphs(n):
+            by_degree = sorted(range(n), key=lambda v: G.adj[v].bit_count())
+            for order in (range(n), by_degree, range(n - 1, -1, -1)):
+                mate, free = _first_fit(G.adj, order)
+                matching_size(G, mate)  # symmetric, on edges of G
+                assert free == sum(1 << v for v in range(n) if mate[v] == -1), G
+                for a, b in G.edges():
+                    assert not (free >> a & 1 and free >> b & 1), (G, order)
 
 
 def test_match_number_equals_networkx_on_random_graphs():

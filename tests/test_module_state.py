@@ -9,8 +9,9 @@ Importing the package and its CLI loads no numpy: only the verifiers
 need it, and they load on first use.
 
 The package's public names are pinned, and every one of them but a
-listed few must be read by package code, so a helper that only the tests
-use cannot come back into ``src/`` unnoticed.
+listed few must be read by package code, as must every module-level
+private function, so a helper that only the tests use, or that a deletion
+left behind, cannot stay in ``src/`` unnoticed.
 """
 
 import ast
@@ -78,16 +79,35 @@ def test_public_names_are_pinned():
     assert public == PUBLIC_NAMES
 
 
-def test_every_public_name_has_a_package_caller():
-    # a name counts as called when a module other than __init__ reads it,
-    # bare or as an attribute; an import or a definition alone does not count
+PACKAGE_FILES = tuple(sorted(Path(matchinv.__file__).parent.glob("*.py")))
+
+
+def package_reads():
+    """The names that a module other than ``__init__`` reads, bare or as an
+    attribute; an import or a definition alone does not count."""
     read = set()
-    for path in Path(matchinv.__file__).parent.glob("*.py"):
+    for path in PACKAGE_FILES:
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-    uncalled = sorted(set(PUBLIC_NAMES) - read)
+    return read
+
+
+def test_every_public_name_has_a_package_caller():
+    uncalled = sorted(set(PUBLIC_NAMES) - package_reads())
     assert uncalled == sorted(NO_PACKAGE_CALLER)
+
+
+def test_every_private_function_has_a_package_caller():
+    # a module-level ``def _name`` that no package code reads is a helper
+    # left behind by a deletion, or one that only the tests call; dunders
+    # such as ``__getattr__`` are called by the interpreter
+    read = package_reads()
+    uncalled = sorted(f"{path.name}:{node.name}" for path in PACKAGE_FILES
+                      for node in ast.parse(path.read_text()).body
+                      if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                      and not node.name.startswith("__") and node.name not in read)
+    assert uncalled == []
