@@ -10,7 +10,7 @@ from .graph import (Graph, from_edge_list, graph6_decode, graph6_encode,
                     is_chordal, is_connected, path_graph, to_dot)
 from .matching import (InvariantTriple, ind_match_number, invariant_triple,
                        match_number, min_match_number)
-from .families import (FAMILY_NAMES, FamilySpec, build_family,
+from .families import (FAMILY_NAMES, FamilySpec, block_labels, build_family,
                        parse_family_spec, predict_invariants)
 from .realizability import (REASONS, TupleQuery, WitnessReport, feasible_set,
                             is_feasible, synthesize_witness, witness_spec)

@@ -21,9 +21,12 @@ import argparse
 import contextlib
 import json
 import sys
+import time
+from functools import partial
 from typing import Iterable
 
-from .families import build_family, parse_family_spec, predict_invariants
+from .families import (FamilySpec, block_labels, build_family, parse_family_spec,
+                       predict_invariants)
 from .graph import Graph, graph6_decode, graph6_encode, is_connected, to_dot
 from .matching import invariant_triple
 from .realizability import TupleQuery, feasible_set, synthesize_witness
@@ -34,11 +37,12 @@ def _print_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _graph_output(G: Graph, fmt: str, extra: dict | None = None) -> None:
+def _graph_output(G: Graph, spec: FamilySpec, fmt: str,
+                  extra: dict | None = None) -> None:
     if fmt == "graph6":
         print(graph6_encode(G))
     elif fmt == "dot":
-        sys.stdout.write(to_dot(G))
+        sys.stdout.write(to_dot(G, block_labels(spec)))
     else:
         out = dict(extra or {})
         out["graph6"] = graph6_encode(G)
@@ -58,12 +62,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                              else f"{args.family}({args.params})")
     G = build_family(spec)
     size, predicted = predict_invariants(spec)
-    _graph_output(G, args.format, {
+    _graph_output(G, spec, args.format, {
         "family": spec.family,
         "params": list(spec.params()),
         "n": size,
         "edge_count": G.edge_count,
-        "labels": list(G.labels or ()),
+        "labels": list(block_labels(spec)),
         "predicted": {"ind": predicted.ind_match, "min": predicted.min_match,
                       "match": predicted.match},
     })
@@ -88,7 +92,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     report = synthesize_witness(TupleQuery(args.p, args.q, args.r, args.n))
     if args.format in ("graph6", "dot") and report.graph is not None:
-        _graph_output(report.graph, args.format)
+        _graph_output(report.graph, report.spec, args.format)
     else:
         _print_json(report.to_json_dict())
     return 0 if report.feasible else 1
@@ -111,7 +115,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verifier import (VerificationReport, verify_av,
                            verify_first_main_sampled, verify_lemma_suite,
                            verify_theorem_first_main, verify_theorem_second_main)
-    reports: list[VerificationReport] = []
     cap = {"first-main": 9, "av": 6, "lemmas": 7, "second-main": 9}[args.check]
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
@@ -133,24 +136,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with (open(args.failures_out, "w") if args.failures_out
           else contextlib.nullcontext()) as fh:
         if args.check == "first-main":
-            for n in range(2, min(args.n_max, 7) + 1):
-                reports.append(verify_theorem_first_main(n))
-            for n in range(8, args.n_max + 1):
-                reports.append(verify_first_main_sampled(n, args.sample, seed))
+            checks = [partial(verify_theorem_first_main, n)
+                      for n in range(2, min(args.n_max, 7) + 1)]
+            checks += [partial(verify_first_main_sampled, n, args.sample, seed)
+                       for n in range(8, args.n_max + 1)]
         elif args.check == "av":
-            for n in range(2, args.n_max + 1, 2):
-                reports.append(verify_av(n))
+            checks = [partial(verify_av, n) for n in range(2, args.n_max + 1, 2)]
         elif args.check == "lemmas":
-            reports.append(verify_lemma_suite(
-                args.n_max, samples=args.sample or 10000, seed=seed))
+            checks = [partial(verify_lemma_suite, args.n_max,
+                              samples=args.sample or 10000, seed=seed)]
         else:  # second-main
-            reports.append(verify_theorem_second_main(args.n_max))
-        for report in reports:
-            print(report.to_json(include_timing=args.timing))
+            checks = [partial(verify_theorem_second_main, args.n_max)]
+        # every check runs before any report prints; each is timed here,
+        # since the checks do not time themselves
+        runs: list[tuple[VerificationReport, float]] = []
+        for check in checks:
+            t0 = time.perf_counter()
+            runs.append((check(), time.perf_counter() - t0))
+        for report, seconds in runs:
+            print(report.to_json(elapsed=seconds if args.timing else None))
             for rec in report.failures:
                 if fh and rec.graph6:
                     fh.write(rec.graph6 + "\n")
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all(report.passed for report, _ in runs) else 1
 
 
 def _cmd_reg(args: argparse.Namespace) -> int:

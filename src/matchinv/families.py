@@ -16,10 +16,10 @@ realizability witnesses:
   vertices, a star center v with c leaves (block Z), and an apex w
   joined to X, Y and v.  Invariants (b+2, a+b+1, a+b+1).
 
-Canonical vertex order is X, Y, Z, U, U', V, then w; built graphs carry
-per-vertex block labels.  ``build_family`` fills the adjacency rows
-directly, block X as one clique mask per vertex, and hands them to
-``Graph``, which validates them.
+Canonical vertex order is X, Y, Z, U, U', V, then w, and
+``block_labels`` gives the block tag of each vertex in that order.
+``build_family`` fills the adjacency rows directly, block X as one clique
+mask per vertex, and hands them to ``Graph``, which validates them.
 """
 
 from __future__ import annotations
@@ -123,8 +123,18 @@ def predict_invariants(spec: FamilySpec) -> tuple[int, InvariantTriple]:
     return spec.vertex_count(), triple
 
 
+def block_labels(spec: FamilySpec) -> tuple[str, ...]:
+    """The block tag of each vertex of ``build_family(spec)``, in vertex
+    order: x1.., y1.., z1.., then u1.., u'1.., v1.. and w for G2, and v
+    and w for G3.  The blocks U, U' and V are empty outside G2."""
+    blocks = [("x", 2 * spec.a), ("y", 2 * spec.b), ("z", spec.c),
+              ("u", 2 * spec.d), ("u'", 2 * spec.d), ("v", 2 * spec.e)]
+    labels = tuple(f"{tag}{i + 1}" for tag, size in blocks for i in range(size))
+    return labels + {"G1": (), "G2": ("w",), "G3": ("v", "w")}[spec.family]
+
+
 def build_family(spec: FamilySpec) -> Graph:
-    """Construct the family graph in canonical vertex order with labels.
+    """Construct the family graph in canonical vertex order.
 
     The adjacency rows are filled directly: each clique vertex gets the
     whole block X less itself in one mask, and every other edge goes
@@ -133,7 +143,6 @@ def build_family(spec: FamilySpec) -> Graph:
     a, b, c, d, e = spec.a, spec.b, spec.c, spec.d, spec.e
     n = spec.vertex_count()
     rows = [0] * n
-    labels: list[str] = []
 
     def join(u: int, v: int) -> None:
         rows[u] |= 1 << v
@@ -142,56 +151,46 @@ def build_family(spec: FamilySpec) -> Graph:
     # block X: clique on 2a vertices (all families)
     for i in range(2 * a):
         rows[i] = ((1 << 2 * a) - 1) ^ 1 << i
-    labels += [f"x{i + 1}" for i in range(2 * a)]
     y0 = 2 * a
 
     if spec.family in ("G1", "G2"):
         # block Y: pendant y_i on x_i
         for i in range(2 * b):
             join(i, y0 + i)
-        labels += [f"y{i + 1}" for i in range(2 * b)]
         # block Z: pendants on the last clique vertex
         z0 = y0 + 2 * b
         for i in range(c):
             join(2 * a - 1, z0 + i)
-        labels += [f"z{i + 1}" for i in range(c)]
         if spec.family == "G1":
-            return Graph(n, tuple(rows), tuple(labels))
+            return Graph(n, tuple(rows))
         # block U: perfect matching u_i -- u_{d+i}
         u0 = z0 + c
         for i in range(d):
             join(u0 + i, u0 + d + i)
-        labels += [f"u{i + 1}" for i in range(2 * d)]
         # block U': pendant u'_i on every u_i
         up0 = u0 + 2 * d
         for i in range(2 * d):
             join(u0 + i, up0 + i)
-        labels += [f"u'{i + 1}" for i in range(2 * d)]
         # block V: perfect matching v_i -- v_{e+i}
         v0 = up0 + 2 * d
         for i in range(e):
             join(v0 + i, v0 + e + i)
-        labels += [f"v{i + 1}" for i in range(2 * e)]
         # apex w joined to X, U and V
         w = v0 + 2 * e
         for i in [*range(2 * a), *range(u0, up0), *range(v0, w)]:
             join(i, w)
-        labels.append("w")
-        return Graph(n, tuple(rows), tuple(labels))
+        return Graph(n, tuple(rows))
 
     # G3.  Block Y: b disjoint edges y_i -- y_{b+i}.
     for i in range(b):
         join(y0 + i, y0 + b + i)
-    labels += [f"y{i + 1}" for i in range(2 * b)]
     z0 = y0 + 2 * b
     v = z0 + c
     w = v + 1
     # block Z: star leaves around v
     for i in range(c):
         join(v, z0 + i)
-    labels += [f"z{i + 1}" for i in range(c)]
-    labels += ["v", "w"]
     # apex w joined to X, Y and v (X and Y are the first 2a + 2b vertices)
     for i in [*range(z0), v]:
         join(i, w)
-    return Graph(n, tuple(rows), tuple(labels))
+    return Graph(n, tuple(rows))

@@ -9,7 +9,7 @@ internally everything is a bitmask.
 from __future__ import annotations
 
 import binascii
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -57,9 +57,6 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 class Graph:
     """Simple undirected graph with bitmask adjacency rows.
 
-    ``labels``, when present, carries one short tag per vertex.  Only
-    ``build_family`` sets them, to mark construction blocks.
-
     Construction checks each row for out-of-range vertices and a loop, row
     by row, and then symmetry at once: the rows, packed into one int at a
     stride of the next power of two of at least n, must equal their
@@ -70,7 +67,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_VERTICES:
@@ -96,8 +92,6 @@ class Graph:
             first = packed & ~flipped
             v, u = divmod((first & -first).bit_length() - 1, stride)
             raise ValueError(f"asymmetric adjacency between {v} and {u}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count does not match vertex count")
 
     @property
     def vertex_mask(self) -> int:
@@ -276,12 +270,15 @@ def _from_pair_mask(n: int, mask: int) -> Graph:
     return Graph(n, _pair_rows(n, mask))
 
 
-def to_dot(G: Graph) -> str:
-    """GraphViz text; vertex labels include block tags when present."""
+def to_dot(G: Graph, labels: tuple[str, ...] | None = None) -> str:
+    """GraphViz text; with ``labels``, one tag per vertex, each vertex
+    shows its tag."""
+    if labels is not None and len(labels) != G.n:
+        raise ValueError("label count does not match vertex count")
     lines = ["graph G {"]
     for v in range(G.n):
-        if G.labels is not None:
-            lines.append(f'  {v} [label="{G.labels[v]}"];')
+        if labels is not None:
+            lines.append(f'  {v} [label="{labels[v]}"];')
         else:
             lines.append(f"  {v};")
     for u, v in G.edges():

@@ -16,7 +16,6 @@ solvers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -136,9 +135,6 @@ class WitnessReport:
                                "min": self.verified.min_match,
                                "match": self.verified.match}
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def synthesize_witness(query: TupleQuery) -> WitnessReport:

@@ -36,6 +36,10 @@ masks per vertex v and neighbourhood of it.  ``scan_invariants`` is a pure
 function: each call fills its tables afresh, and the module keeps no
 state between calls.  A caller that needs one scan twice holds the
 ``ScanResult``.
+
+A report holds only what its check found.  The checks do not time
+themselves: ``matchinv verify --timing`` times each call and passes the
+seconds to ``VerificationReport.to_json``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -261,13 +264,12 @@ class VerificationReport:
     examined: int
     failures: list[FailureRecord] = field(default_factory=list)
     details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self, elapsed: float | None = None) -> dict:
         out = {
             "check": self.check,
             "n_range": [self.n_low, self.n_high],
@@ -276,12 +278,12 @@ class VerificationReport:
             "failures": [f.to_json_dict() for f in self.failures],
             "details": self.details,
         }
-        if include_timing:
-            out["elapsed"] = self.elapsed
+        if elapsed is not None:
+            out["elapsed"] = elapsed
         return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing), sort_keys=True)
+    def to_json(self, elapsed: float | None = None) -> str:
+        return json.dumps(self.to_json_dict(elapsed), sort_keys=True)
 
 
 _FAILURE_LIMIT = 100
@@ -301,7 +303,6 @@ def _fail(failures: list[FailureRecord], G: Graph | None,
 
 def verify_theorem_first_main(n: int) -> VerificationReport:
     """Exhaustively compare the realized triple set with the closed form."""
-    t0 = time.perf_counter()
     scan = scan_invariants(n)
     realized = scan.triples()
     expected = feasible_set(n)
@@ -330,15 +331,13 @@ def verify_theorem_first_main(n: int) -> VerificationReport:
             "expected_connected_count": want_count,
             "feasible_count": len(expected),
             "realized": sorted(map(list, realized)),
-        },
-        elapsed=time.perf_counter() - t0)
+        })
 
 
 def verify_av(n: int) -> VerificationReport:
     """Connected graphs with min match n/2 are K_n or K_{n/2,n/2} only."""
     if n % 2 or not 2 <= n <= 6:
         raise ValueError("check runs for even n with 2 <= n <= 6")
-    t0 = time.perf_counter()
     scan = scan_invariants(n)
     half = n // 2
     targets = {"complete": [(1 << math.comb(n, 2)) - 1]}
@@ -360,8 +359,7 @@ def verify_av(n: int) -> VerificationReport:
                   f"{name} graph attains min match {half}", "not found in scan")
     return VerificationReport(
         check="av", n_low=n, n_high=n, examined=scan.count, failures=failures,
-        details={"extremal_count": len(masks), "targets_found": found},
-        elapsed=time.perf_counter() - t0)
+        details={"extremal_count": len(masks), "targets_found": found})
 
 
 def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
@@ -391,7 +389,6 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
         raise ValueError(f"the lemma suite supports 2 <= n <= {_SCAN_CAP}")
     if samples < 0:
         raise ValueError("the lemma suite needs samples >= 0")
-    t0 = time.perf_counter()
     failures: list[FailureRecord] = []
     examined = 2 * samples
     counts = {"deletion": 0, "twin_leaf": 0, "additivity": samples,
@@ -478,8 +475,7 @@ def verify_lemma_suite(n_max: int = 7, samples: int = 10000,
     return VerificationReport(
         check="lemmas", n_low=2, n_high=n_max,
         examined=examined, failures=failures,
-        details={"checks": counts, "samples": samples, "seed": seed},
-        elapsed=time.perf_counter() - t0)
+        details={"checks": counts, "samples": samples, "seed": seed})
 
 
 def verify_theorem_second_main(n_max: int = 9) -> VerificationReport:
@@ -497,7 +493,6 @@ def verify_theorem_second_main(n_max: int = 9) -> VerificationReport:
     """
     if not 2 <= n_max <= 9:
         raise ValueError("the regularity check supports 2 <= n <= 9")
-    t0 = time.perf_counter()
     failures: list[FailureRecord] = []
     examined = 0
     witness_count = 0
@@ -543,8 +538,7 @@ def verify_theorem_second_main(n_max: int = 9) -> VerificationReport:
         check="second-main", n_low=2, n_high=n_max,
         examined=examined, failures=failures,
         details={"witnesses": witness_count,
-                 "exhaustive_graphs": exhaustive_count},
-        elapsed=time.perf_counter() - t0)
+                 "exhaustive_graphs": exhaustive_count})
 
 
 def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationReport:
@@ -554,7 +548,6 @@ def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationRepo
         raise ValueError("sampled mode is for n in {8, 9}")
     if count < 1:
         raise ValueError("sampled mode needs a sample count of at least 1")
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     expected = feasible_set(n)
     failures: list[FailureRecord] = []
@@ -573,5 +566,4 @@ def verify_first_main_sampled(n: int, count: int, seed: int) -> VerificationRepo
         check="first-main-sampled", n_low=n, n_high=n, examined=count,
         failures=failures,
         details={"connected_sampled": connected, "seed": seed,
-                 "exhaustive": False},
-        elapsed=time.perf_counter() - t0)
+                 "exhaustive": False})

@@ -222,6 +222,20 @@ def test_verify_timing_flag(capsys):
     assert "elapsed" in json_lines(out)[0]
 
 
+def test_verify_timing_adds_only_elapsed(capsys):
+    # the CLI times each check; the timed rows are the untimed ones plus
+    # one float per row
+    argv = ["verify", "--check", "av", "--n-max", "6"]
+    code, plain, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, argv + ["--timing"])
+    assert code == 0
+    rows = json_lines(out)
+    seconds = [row.pop("elapsed") for row in rows]
+    assert rows == json_lines(plain) and len(rows) == 3
+    assert all(isinstance(s, float) and s >= 0 for s in seconds)
+
+
 def test_verify_first_main_needs_sample_above_7(capsys):
     code, out, err = run_cli(capsys, ["verify", "--check", "first-main",
                                       "--n-max", "8"])

@@ -7,13 +7,17 @@ from matchinv import (
     FAMILY_NAMES,
     FamilySpec,
     Graph,
+    TupleQuery,
+    block_labels,
     build_family,
+    feasible_set,
     invariant_triple,
     is_chordal,
     is_connected,
     parse_family_spec,
     path_graph,
     predict_invariants,
+    witness_spec,
 )
 from oracles import complete_graph, expected_edge_count, spec_grid
 
@@ -76,7 +80,7 @@ def test_spec_parse_errors():
 def test_g1_smallest_members():
     G = build_family(FamilySpec("G1", 1, 0, 0))
     assert G.adj == complete_graph(2).adj
-    assert G.labels == ("x1", "x2")
+    assert block_labels(FamilySpec("G1", 1, 0, 0)) == ("x1", "x2")
     assert oracles.isomorphic(build_family(FamilySpec("G1", 1, 1, 0)),
                               path_graph(4))
 
@@ -85,14 +89,14 @@ def test_g1_structure_frozen():
     G = build_family(FamilySpec("G1", 1, 1, 2))
     assert G.n == 6
     assert G.edges() == [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5)]
-    assert G.labels == ("x1", "x2", "y1", "y2", "z1", "z2")
+    assert block_labels(FamilySpec("G1", 1, 1, 2)) == ("x1", "x2", "y1", "y2", "z1", "z2")
 
 
 def test_g2_structure_frozen():
     spec = FamilySpec("G2", 2, 0, 1, 0, 1)
     G = build_family(spec)
     assert G.n == 8
-    assert G.labels == ("x1", "x2", "x3", "x4", "z1", "v1", "v2", "w")
+    assert block_labels(spec) == ("x1", "x2", "x3", "x4", "z1", "v1", "v2", "w")
     # the apex sees the clique and the V block, not the pendant
     assert G.adj[7] == 0b01101111
     assert G.adj[5] >> 6 & 1
@@ -106,6 +110,8 @@ def test_g2_pendant_blocks():
     spec = FamilySpec("G2", 1, 0, 1, 2, 0)
     G = build_family(spec)
     assert G.n == 12
+    assert block_labels(spec) == ("x1", "x2", "z1", "u1", "u2", "u3", "u4",
+                                  "u'1", "u'2", "u'3", "u'4", "w")
     block = 0xFF << 3
     assert [G.adj[v] & block for v in range(3, 11)] == [
         1 << 5 | 1 << 7, 1 << 6 | 1 << 8, 1 << 3 | 1 << 9, 1 << 4 | 1 << 10,
@@ -117,7 +123,7 @@ def test_g3_structure_frozen():
     G = build_family(FamilySpec("G3", 1, 0, 1))
     assert G.n == 5
     assert G.edges() == [(0, 1), (0, 4), (1, 4), (2, 3), (3, 4)]
-    assert G.labels == ("x1", "x2", "z1", "v", "w")
+    assert block_labels(FamilySpec("G3", 1, 0, 1)) == ("x1", "x2", "z1", "v", "w")
     assert invariant_triple(G) == (2, 2, 2)
 
 
@@ -148,6 +154,13 @@ def test_built_graphs_pass_graph_validation(monkeypatch):
         assert type(G) is Graph
         assert calls == [spec.vertex_count()]
         calls.clear()
+
+
+def test_one_block_label_per_vertex():
+    specs = spec_grid(12) + [witness_spec(TupleQuery(*t, n)) for n in range(2, 17)
+                             for t in sorted(feasible_set(n))]
+    for spec in specs:
+        assert len(block_labels(spec)) == spec.vertex_count()
 
 
 def test_predictions_frozen():

@@ -51,8 +51,6 @@ def test_graph_validation():
         Graph(2, (0b10, 0b00))
     with pytest.raises(ValueError):
         Graph(1, (0b1,))
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b01), labels=("a",))
     # the top bits of a 64-vertex graph: the back edge 63 -> 0 is missing,
     # a loop at 63, and a row that mentions vertex 64
     rows = list(complete_graph(64).adj)
@@ -250,7 +248,11 @@ def test_graph6_round_trips_the_benchmark_pool():
 
 
 def test_to_dot():
-    G = Graph(3, (0b10, 0b01, 0), ("a", "b", "c"))
-    assert to_dot(G) == ('graph G {\n  0 [label="a"];\n  1 [label="b"];\n'
-                         '  2 [label="c"];\n  0 -- 1;\n}\n')
+    G = Graph(3, (0b10, 0b01, 0))
+    assert to_dot(G, ("a", "b", "c")) == ('graph G {\n  0 [label="a"];\n  1 [label="b"];\n'
+                                          '  2 [label="c"];\n  0 -- 1;\n}\n')
     assert to_dot(path_graph(2)) == "graph G {\n  0;\n  1;\n  0 -- 1;\n}\n"
+    # one label per vertex, no more and no fewer
+    for labels in (("a", "b"), ("a", "b", "c", "d")):
+        with pytest.raises(ValueError, match="label count"):
+            to_dot(G, labels)

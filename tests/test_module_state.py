@@ -10,8 +10,8 @@ need it, and they load on first use.
 
 The package's public names are pinned, and every one of them but a
 listed few must be read by package code, as must every module-level
-private function, so a helper that only the tests use, or that a deletion
-left behind, cannot stay in ``src/`` unnoticed.
+private function and every method, so a helper that only the tests use,
+or that a deletion left behind, cannot stay in ``src/`` unnoticed.
 """
 
 import ast
@@ -61,7 +61,7 @@ def test_lazy_verifier_exports_resolve():
 
 PUBLIC_NAMES = [
     "FAMILY_NAMES", "FamilySpec", "Graph", "InvariantTriple", "REASONS", "RegularityResult",
-    "TupleQuery", "WitnessReport", "build_family", "feasible_set", "from_edge_list",
+    "TupleQuery", "WitnessReport", "block_labels", "build_family", "feasible_set", "from_edge_list",
     "graph6_decode", "graph6_encode", "ind_match_number", "invariant_triple", "is_chordal",
     "is_connected", "is_feasible", "match_number", "min_match_number", "parse_family_spec",
     "path_graph", "predict_invariants", "reduced_homology_ranks", "regularity",
@@ -111,3 +111,18 @@ def test_every_private_function_has_a_package_caller():
                       if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                       and not node.name.startswith("__") and node.name not in read)
     assert uncalled == []
+
+
+def test_every_method_has_a_package_reader():
+    # a method or property that no package code reads serves only the
+    # tests; dunders are called by the interpreter.  The check goes by
+    # name, so a method whose name another class's method shares and
+    # package code reads passes even when its own class's is never called
+    # (``WitnessReport.to_json`` did, beside ``VerificationReport.to_json``)
+    read = package_reads()
+    unread = sorted(f"{path.name}:{cls.name}.{node.name}" for path in PACKAGE_FILES
+                    for cls in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(cls, ast.ClassDef)
+                    for node in cls.body if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("__") and node.name not in read)
+    assert unread == []

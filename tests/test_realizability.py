@@ -10,6 +10,7 @@ from matchinv import (
     FamilySpec,
     TupleQuery,
     feasible_set,
+    graph6_decode,
     graph6_encode,
     invariant_triple,
     is_chordal,
@@ -190,11 +191,11 @@ def test_every_witness_rechecks_at_48_and_64():
 
 
 def test_report_json_deterministic():
-    a = synthesize_witness(TupleQuery(2, 3, 4, 8)).to_json()
-    b = synthesize_witness(TupleQuery(2, 3, 4, 8)).to_json()
+    a = synthesize_witness(TupleQuery(2, 3, 4, 8))
+    b = synthesize_witness(TupleQuery(2, 3, 4, 8))
     assert a == b
-    parsed = json.loads(a)
-    assert parsed["graph6"] == "G~C?Nk"
+    assert a.to_json_dict() == b.to_json_dict()
+    assert a.to_json_dict()["graph6"] == "G~C?Nk"
 
 
 def test_witness_pool_graph6_byte_for_byte():
@@ -205,6 +206,7 @@ def test_witness_pool_graph6_byte_for_byte():
     for entry in entries:
         rep = synthesize_witness(TupleQuery(entry["p"], entry["q"], entry["r"], entry["n"]))
         assert graph6_encode(rep.graph) == entry["graph6"]
+        assert graph6_decode(entry["graph6"]) == rep.graph
         assert rep.verified.match == entry["match"]
         if entry["class"] == "fast":
             assert tuple(rep.verified) == (entry["p"], entry["q"], entry["r"])

@@ -179,7 +179,7 @@ def test_realized_set_small():
 def test_report_serialization():
     rep = VerificationReport(check="demo", n_low=2, n_high=3, examined=5,
                              failures=[FailureRecord("A_", "x", "y")],
-                             details={"k": 1}, elapsed=1.25)
+                             details={"k": 1})
     assert not rep.passed
     data = rep.to_json_dict()
     assert data == {"check": "demo", "n_range": [2, 3], "examined": 5,
@@ -187,8 +187,9 @@ def test_report_serialization():
                     "failures": [{"graph6": "A_", "expected": "x",
                                   "actual": "y"}],
                     "details": {"k": 1}}
-    timed = rep.to_json_dict(include_timing=True)
-    assert timed["elapsed"] == 1.25
+    timed = rep.to_json_dict(elapsed=1.25)
+    assert timed == {**data, "elapsed": 1.25}
+    assert json.loads(rep.to_json(elapsed=1.25)) == timed
     assert json.loads(rep.to_json()) == data
 
 
