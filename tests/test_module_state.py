@@ -116,9 +116,11 @@ def test_every_private_function_has_a_package_caller():
 def test_every_method_has_a_package_reader():
     # a method or property that no package code reads serves only the
     # tests; dunders are called by the interpreter.  The check goes by
-    # name, so a method whose name another class's method shares and
-    # package code reads passes even when its own class's is never called
-    # (``WitnessReport.to_json`` did, beside ``VerificationReport.to_json``)
+    # name, so a method passes when package code reads that name anywhere,
+    # even as another class's method or a local variable: it could not
+    # have caught ``WitnessReport.to_json``, beside the read
+    # ``VerificationReport.to_json``, nor a ``Graph.degree``, beside a
+    # local ``degree`` in matching.py
     read = package_reads()
     unread = sorted(f"{path.name}:{cls.name}.{node.name}" for path in PACKAGE_FILES
                     for cls in ast.walk(ast.parse(path.read_text()))
