@@ -47,10 +47,10 @@ def _transpose_rounds(stride: int) -> tuple[tuple[int, int], ...]:
 # the rounds for each stride 2^k that a graph of at most 64 vertices uses
 _TRANSPOSE_ROUNDS = tuple(_transpose_rounds(1 << k) for k in range(7))
 
-# base64 digits, in value order, to graph6 characters 63 + value
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)))
+# base64 digits, in value order, to graph6 characters 63 + value, and back
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 @dataclass(frozen=True)
@@ -212,33 +212,37 @@ def graph6_encode(G: Graph) -> str:
 def graph6_decode(text: str) -> Graph:
     """Decode a graph6 string; strict about length and padding bits.
 
-    The body bits, the first one as bit 0, are the pair mask that
-    ``_from_pair_mask`` turns into the graph, the routine the labeled scan
-    of :mod:`matchinv.verifier` reads its edge masks with.
+    ``graph6_encode`` in reverse: the body characters are translated back
+    to base64 digits, padded with zero digits to whole 24-bit groups and
+    decoded by base64; the bytes, as one int reversed once, put the first
+    body bit at bit 0.  That is the pair mask that ``_from_pair_mask``
+    turns into the graph, the routine the labeled scan of
+    :mod:`matchinv.verifier` reads its edge masks with.
     """
-    data = [ord(c) - 63 for c in text]
-    if any(v < 0 or v > 63 for v in data):
-        raise ValueError("invalid character in graph6 string")
-    if not data:
+    if not text:
         raise ValueError("empty graph6 string")
-    if data[0] == 63:
-        if len(data) >= 2 and data[1] == 63:
+    if min(text) < "?" or max(text) > "~":
+        raise ValueError("invalid character in graph6 string")
+    if text[0] == "~":
+        if text[1:2] == "~":
             raise ValueError("graph6 size exceeds 64 vertices")
-        if len(data) < 4:
+        if len(text) < 4:
             raise ValueError("truncated graph6 size header")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        body = data[4:]
+        n = (ord(text[1]) - 63) << 12 | (ord(text[2]) - 63) << 6 | ord(text[3]) - 63
+        body = text[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(text[0]) - 63
+        body = text[1:]
     if n > MAX_VERTICES:
         raise ValueError(f"graph6 size {n} exceeds {MAX_VERTICES} vertices")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} chars, expected {need}")
-    bits = "".join(format(val, "06b") for val in body)
-    mask = int(bits[::-1] or "0", 2)  # the first body bit is bit 0
+    digits = -(-need // 4) * 4
+    data = binascii.a2b_base64(
+        body.encode("ascii").translate(_GRAPH6_TO_BASE64).ljust(digits, b"A"))
+    mask = int(format(int.from_bytes(data, "big"), f"0{6 * digits}b")[::-1], 2)
     if mask >> nbits:
         raise ValueError("nonzero padding bits in graph6 string")
     return _from_pair_mask(n, mask)

@@ -27,6 +27,11 @@ subgraphs are isomorphic, share one entry.
 of the first-fit matching: the clique-cover bound of G, and the same bound
 added up over the components of G - hub, which deletion monotonicity and
 additivity allow.  They settle every family witness up to 64 vertices.
+Otherwise a second upper bound joins the first-fit size: for the vertex
+cover C left by a greedy independent set, |C| - nu(G[C]), the size of an
+edge dominating set, which is never below a minimum maximal matching
+(Yannakakis and Gavril, 1980).  The smaller of the two is the answer when a
+root lower bound reaches it, and the search's first limit otherwise.
 ``ind_match_number`` is ``_alpha`` on the edge conflict graph of the kept
 edges.  An edge whose S_e = N(a) | N(b) holds the S_f of another edge f
 is dominated in the conflict graph, so it may go without changing the
@@ -34,7 +39,7 @@ independence number.  Two cases are cheap to find: an edge to a leaf or
 a true twin of a vertex v has S_e = N[v], inside the S_e of every edge at
 v, so at such a v only that edge is kept; and of the edges with one S_e,
 true twins in the conflict graph, only the first is kept.  The rows take
-one pass over the vertices, one set lookup per edge among the other
+one pass over the vertices, one dict lookup per edge among the other
 vertices, and mask ORs over the ends of the kept edges; ``_alpha`` takes
 simplicial vertices at every node.
 
@@ -235,6 +240,28 @@ def _hub_deletion_bound(adj: tuple[int, ...]) -> int:
         if comp & (comp - 1):  # a lone vertex bounds nothing
             bound += _clique_cover_bound(adj, comp)
     return bound
+
+
+def _vertex_cover_bound(adj: tuple[int, ...]) -> int:
+    """Upper bound on min maximal matching of G: |C| - nu(G[C]) for the
+    vertex cover C = V - I, I a greedy independent set over the vertices
+    by ascending degree.
+
+    A minimum maximal matching is a minimum edge dominating set
+    (Yannakakis and Gavril, SIAM J. Appl. Math. 1980).  I is maximal, so
+    each vertex of C has a neighbour in I; a maximum matching of G[C] plus
+    one such edge at each vertex of C it leaves free meets every vertex of
+    C, hence every edge, in |C| - nu(G[C]) edges.
+    """
+    indep = blocked = 0
+    for v in sorted(range(len(adj)), key=lambda v: adj[v].bit_count()):
+        if not blocked >> v & 1:
+            indep |= 1 << v
+            blocked |= adj[v]
+    cover = ((1 << len(adj)) - 1) ^ indep
+    rows = tuple(row & cover if cover >> v & 1 else 0 for v, row in enumerate(adj))
+    mate = _blossom_matching(len(adj), rows)
+    return cover.bit_count() - (len(adj) - mate.count(-1)) // 2
 
 
 def _alpha(adj: tuple[int, ...], mask: int, floor: int,
@@ -447,8 +474,18 @@ def min_match_number(G: Graph) -> int:
     witnesses of every feasible tuple up to 64 vertices one of them does,
     so these take no search, memo or twin classes.
 
-    Otherwise branch and bound over vertex masks with the first-fit size as
-    the first limit.  Each node drops isolated vertices and all but one leaf
+    Otherwise ``_vertex_cover_bound`` gives a second upper bound, the size
+    of an edge dominating set: a maximum matching of G[C], for the vertex
+    cover C = V - I of a greedy independent set I, plus one edge into I at
+    each vertex of C it leaves free, meets every vertex of C, hence every
+    edge, and a minimum edge dominating set is as small as a minimum
+    maximal matching.  Let ``upper`` be the smaller of the two upper
+    bounds.  If either lower bound reaches it, it is the value.  So the
+    root order is: the clique-cover bound, the hub bound, each against the
+    first-fit size, then both against ``upper``.
+
+    Otherwise branch and bound over vertex masks with ``upper`` as the
+    first limit.  Each node drops isolated vertices and all but one leaf
     at a vertex (the paper's twin-leaf lemma), splits into components whose
     values add up (its additivity lemma), and branches on the edges at a
     vertex some maximal matching must cover, skipping twin partners.  A
@@ -468,9 +505,16 @@ def min_match_number(G: Graph) -> int:
     """
     adj, mask = G.adj, G.vertex_mask
     greedy = (G.n - _first_fit(adj, range(G.n))[1].bit_count()) // 2
-    if _clique_cover_bound(adj, mask) >= greedy or _hub_deletion_bound(adj) >= greedy:
+    clique = _clique_cover_bound(adj, mask)
+    if clique >= greedy:
         return greedy
-    return min(greedy, _min_maximal(adj, mask, greedy, {}, _twin_classes(adj)))
+    hub = _hub_deletion_bound(adj)
+    if hub >= greedy:
+        return greedy
+    upper = min(greedy, _vertex_cover_bound(adj))
+    if max(clique, hub) >= upper:
+        return upper
+    return min(upper, _min_maximal(adj, mask, upper, {}, _twin_classes(adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +547,7 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
     the row of {a, b} is ``reach[a] | reach[b]`` less {a, b}.
     """
     adj = G.adj
-    pairs = []
+    kept = {}  # S_e to the first edge e met with it
     pinned = 0
     closed = {}
     for u, row in enumerate(adj):
@@ -516,7 +560,9 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
         else:
             continue
         pinned |= 1 << v | 1 << u
-        pairs.append((v, u))
+        key = row | adj[v]
+        if key not in kept:
+            kept[key] = (v, u)
     for a, row in enumerate(adj):
         if pinned >> a & 1:
             continue
@@ -524,20 +570,18 @@ def _edge_conflicts(G: Graph) -> tuple[int, ...]:
         while upper:
             low = upper & -upper
             upper ^= low
-            pairs.append((a, low.bit_length() - 1))
-    ends = []
-    seen = set()
+            b = low.bit_length() - 1
+            key = row | adj[b]
+            if key not in kept:
+                kept[key] = (a, b)
+    ends = list(kept.values())
     incident = [0] * G.n
     touched = 0
-    for a, b in pairs:
-        key = adj[a] | adj[b]
-        if key not in seen:
-            seen.add(key)
-            bit = 1 << len(ends)
-            incident[a] |= bit
-            incident[b] |= bit
-            touched |= 1 << a | 1 << b
-            ends.append((a, b))
+    for i, (a, b) in enumerate(ends):
+        bit = 1 << i
+        incident[a] |= bit
+        incident[b] |= bit
+        touched |= 1 << a | 1 << b
     reach = [0] * G.n
     rem = touched
     while rem:

@@ -24,7 +24,7 @@ from matchinv import (
 )
 from matchinv.graph import _bits
 from matchinv.matching import (_alpha, _blossom_matching, _edge_conflicts, _first_fit,
-                               _min_maximal, _twin_classes, _twin_key)
+                               _min_maximal, _twin_classes, _twin_key, _vertex_cover_bound)
 from matchinv.verifier import _invariant_tables
 from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
                      disjoint_union, star_graph)
@@ -486,16 +486,61 @@ def test_min_match_on_graphs_with_a_cut_vertex():
         assert min_match_number(G) == oracles.min_match_number(G), G
 
 
+def test_vertex_cover_bound_is_above_min_match_up_to_six_vertices():
+    # all 33,867 labeled graphs with 1 <= n <= 6, against the labeled scan's
+    # min table; min_match_number, which may start its search from the
+    # bound, must still reach the table
+    for n in range(1, 7):
+        minm = _invariant_tables(n)[1]
+        for mask, G in enumerate(all_graphs(n)):
+            assert _vertex_cover_bound(G.adj) >= minm[mask], mask
+            assert min_match_number(G) == minm[mask], mask
+
+
+def test_vertex_cover_bound_counts_an_edge_dominating_set():
+    # C is V less a greedy independent set over the vertices by ascending
+    # degree; a maximum matching of G[C] plus one edge from each vertex of
+    # C it leaves free into the independent set dominates every edge, and
+    # has exactly the bound's size
+    rng = random.Random(35)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        G = oracles.random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
+        indep = 0
+        for v in sorted(range(n), key=lambda v: G.adj[v].bit_count()):
+            if not G.adj[v] & indep:
+                indep |= 1 << v
+        cover = G.vertex_mask ^ indep
+        inside = [(u, v) for u, v in G.edges() if cover >> u & 1 and cover >> v & 1]
+        rows = from_edge_list(n, inside).adj
+        mate = _blossom_matching(n, rows)
+        assert matching_size(G, mate) == oracles.match_number(from_edge_list(n, inside))
+        dominating = {(min(v, u), max(v, u)) for v, u in enumerate(mate) if u != -1}
+        for v in _bits(cover):
+            if mate[v] == -1:
+                u = (G.adj[v] & indep).bit_length() - 1
+                assert u >= 0, (G, v)
+                dominating.add((min(v, u), max(v, u)))
+        assert dominating <= set(G.edges()), G
+        ends = {x for edge in dominating for x in edge}
+        assert all(u in ends or v in ends for u, v in G.edges()), G
+        assert len(dominating) == _vertex_cover_bound(G.adj), G
+
+
 def test_family_witnesses_settle_at_the_root(monkeypatch):
     # the first-fit matching is minimum on every witness, and the root's
-    # deletion bound proves it, so no witness runs the branch and bound
+    # deletion bound proves it, so no witness computes the vertex-cover
+    # bound or runs the branch and bound
     calls = []
 
-    def counting(*args):
-        calls.append(args[1])
-        return _min_maximal(*args)
+    def counting(function):
+        def counted(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return counted
 
-    monkeypatch.setattr("matchinv.matching._min_maximal", counting)
+    for function in (_min_maximal, _vertex_cover_bound):
+        monkeypatch.setattr(f"matchinv.matching.{function.__name__}", counting(function))
     for n in (24, 48, 64):
         for tup in sorted(feasible_set(n)):
             G = build_family(witness_spec(TupleQuery(*tup, n)))
