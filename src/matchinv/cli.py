@@ -22,19 +22,24 @@ import contextlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from functools import partial
 from typing import Iterable
 
 from .families import (FamilySpec, block_labels, build_family, parse_family_spec,
                        predict_invariants)
 from .graph import Graph, graph6_decode, graph6_encode, is_connected, to_dot
-from .matching import invariant_triple
+from .matching import InvariantTriple, invariant_triple
 from .realizability import TupleQuery, feasible_set, synthesize_witness
 from .regularity import regularity
 
 
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
+
+
+def _triple_json(t: InvariantTriple) -> dict:
+    return {"ind": t.ind_match, "min": t.min_match, "match": t.match}
 
 
 def _graph_output(G: Graph, spec: FamilySpec, fmt: str,
@@ -68,17 +73,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "n": size,
         "edge_count": G.edge_count,
         "labels": list(block_labels(spec)),
-        "predicted": {"ind": predicted.ind_match, "min": predicted.min_match,
-                      "match": predicted.match},
+        "predicted": _triple_json(predicted),
     })
     return 0
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     for G in _input_graphs(args):
-        t = invariant_triple(G)
-        row = {"n": G.n, "ind": t.ind_match, "min": t.min_match,
-               "match": t.match, "connected": is_connected(G)}
+        row = {"n": G.n, **_triple_json(invariant_triple(G)), "connected": is_connected(G)}
         if args.reg:
             row["reg"] = regularity(G).reg
         if args.pretty:
@@ -94,7 +96,15 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.format in ("graph6", "dot") and report.graph is not None:
         _graph_output(report.graph, report.spec, args.format)
     else:
-        _print_json(report.to_json_dict())
+        out: dict = {"query": report.query._asdict(), "feasible": report.feasible}
+        if report.reason is not None:
+            out["reason"] = report.reason
+        if report.spec is not None:
+            out["family"] = report.spec.family
+            out["params"] = list(report.spec.params())
+            out["graph6"] = graph6_encode(report.graph)
+            out["verified"] = _triple_json(report.verified)
+        _print_json(out)
     return 0 if report.feasible else 1
 
 
@@ -154,7 +164,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             runs.append((check(), time.perf_counter() - t0))
         for report, seconds in runs:
-            print(report.to_json(elapsed=seconds if args.timing else None))
+            out = asdict(report)
+            out["n_range"] = [out.pop("n_low"), out.pop("n_high")]
+            out["passed"] = report.passed
+            if args.timing:
+                out["elapsed"] = seconds
+            _print_json(out)
             for rec in report.failures:
                 if fh and rec.graph6:
                     fh.write(rec.graph6 + "\n")
@@ -163,7 +178,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_reg(args: argparse.Namespace) -> int:
     for G in _input_graphs(args):
-        _print_json(regularity(G).to_json_dict())
+        result = regularity(G)
+        _print_json({"reg": result.reg, "witness_W": list(result.witness_subset),
+                     "witness_d": result.reg})
     return 0
 
 

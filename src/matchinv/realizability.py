@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .families import FamilySpec, build_family, predict_invariants
-from .graph import MAX_VERTICES, Graph, graph6_encode
+from .graph import MAX_VERTICES, Graph
 from .matching import InvariantTriple, invariant_triple
 
 # Closed set of infeasibility reasons, in first-violated-constraint order.
@@ -108,7 +108,7 @@ def witness_spec(query: TupleQuery) -> FamilySpec:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Outcome of a witness request, JSON-serializable."""
+    """Outcome of a witness request."""
 
     query: TupleQuery
     feasible: bool
@@ -116,25 +116,6 @@ class WitnessReport:
     spec: FamilySpec | None = None
     graph: Graph | None = None
     verified: InvariantTriple | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "query": {"p": self.query.p, "q": self.query.q,
-                      "r": self.query.r, "n": self.query.n},
-            "feasible": self.feasible,
-        }
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.spec is not None:
-            out["family"] = self.spec.family
-            out["params"] = list(self.spec.params())
-        if self.graph is not None:
-            out["graph6"] = graph6_encode(self.graph)
-        if self.verified is not None:
-            out["verified"] = {"ind": self.verified.ind_match,
-                               "min": self.verified.min_match,
-                               "match": self.verified.match}
-        return out
 
 
 def synthesize_witness(query: TupleQuery) -> WitnessReport:

@@ -80,16 +80,11 @@ def reduced_homology_ranks(faces: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class RegularityResult:
-    """Regularity value with the first maximizing (subset, dimension) pair."""
+    """Regularity value with the first subset W that attains it: the
+    reduced homology of Ind(G[W]) is nonzero in dimension ``reg - 1``."""
 
     reg: int
     witness_subset: tuple[int, ...]
-    witness_d: int
-
-    def to_json_dict(self) -> dict:
-        return {"reg": self.reg,
-                "witness_W": list(self.witness_subset),
-                "witness_d": self.witness_d}
 
 
 def regularity(G: Graph) -> RegularityResult:
@@ -141,4 +136,4 @@ def regularity(G: Graph) -> RegularityResult:
                 if ranks[d]:
                     best, best_w = d, w
                     break
-    return RegularityResult(best, tuple(_bits(best_w)), best)
+    return RegularityResult(best, tuple(_bits(best_w)))

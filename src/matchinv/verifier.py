@@ -38,16 +38,16 @@ state between calls.  A caller that needs one scan twice holds the
 ``ScanResult``.
 
 A report holds only what its check found.  The checks do not time
-themselves: ``matchinv verify --timing`` times each call and passes the
-seconds to ``VerificationReport.to_json``.
+themselves, and a report has no text form: ``matchinv verify`` writes
+each report as JSON, and with ``--timing`` adds the seconds it measured
+around the call.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -252,9 +252,6 @@ class FailureRecord:
     expected: str
     actual: str
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class VerificationReport:
@@ -268,22 +265,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self, elapsed: float | None = None) -> dict:
-        out = {
-            "check": self.check,
-            "n_range": [self.n_low, self.n_high],
-            "examined": self.examined,
-            "passed": self.passed,
-            "failures": [f.to_json_dict() for f in self.failures],
-            "details": self.details,
-        }
-        if elapsed is not None:
-            out["elapsed"] = elapsed
-        return out
-
-    def to_json(self, elapsed: float | None = None) -> str:
-        return json.dumps(self.to_json_dict(elapsed), sort_keys=True)
 
 
 _FAILURE_LIMIT = 100
@@ -330,7 +311,7 @@ def verify_theorem_first_main(n: int) -> VerificationReport:
             "connected_count": scan.count,
             "expected_connected_count": want_count,
             "feasible_count": len(expected),
-            "realized": sorted(map(list, realized)),
+            "realized": sorted(realized),
         })
 
 

@@ -1,9 +1,11 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Every check is exact (integer equality, set equality, byte equality);
-there are no numeric tolerances anywhere.  Criteria 2, 4, 5 and 6 build
-the reports of the four benchmark ``verify`` commands, and compare them
-byte for byte with the stdout stored in ``perfbench/fixtures/verify.json``.
+there are no numeric tolerances anywhere.  Criteria 2, 4, 5 and 6 run
+the four benchmark ``verify`` commands through ``cli.main`` on the argv
+stored in ``perfbench/fixtures/verify.json``, check them as the benchmark
+does (exit 0, the stored stdout byte for byte, every report passed, the
+stored examined count), and read their details from the printed JSON.
 """
 
 import json
@@ -28,6 +30,7 @@ from matchinv import (
     verify_theorem_first_main,
     verify_theorem_second_main,
 )
+from matchinv.cli import main
 from oracles import complete_bipartite_graph, complete_graph, expected_edge_count, spec_grid
 
 
@@ -35,9 +38,16 @@ VERIFY_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" 
     / "verify.json"
 
 
-def _fixture_lines(check):
-    """The stdout lines of one ``matchinv verify`` command, as stored."""
-    return json.loads(VERIFY_FIXTURE.read_text())[check]["stdout"].splitlines()
+def _run_fixture(capsys, check):
+    """Run one stored ``matchinv verify`` command: its JSON reports, and
+    whether it matched the stored run as the benchmark requires."""
+    stored = json.loads(VERIFY_FIXTURE.read_text())[check]
+    code = main(stored["argv"])
+    out = capsys.readouterr().out
+    rows = [json.loads(line) for line in out.splitlines()]
+    ok = code == 0 and out == stored["stdout"] and all(row["passed"] for row in rows)
+    ok &= sum(row["examined"] for row in rows) == stored["examined"]
+    return rows, ok
 
 
 def _report(capsys, num, name, ok):
@@ -65,15 +75,11 @@ def test_criterion_1_family_grid_closed_forms(capsys):
 
 
 def test_criterion_2_realized_equals_feasible(capsys):
-    ok = True
-    lines = []
-    for n in range(2, 8):
-        rep = verify_theorem_first_main(n)
-        ok &= rep.passed
-        ok &= rep.examined == connected_graph_count(n)
-        ok &= scan_invariants(n).triples() == feasible_set(n)
-        lines.append(rep.to_json())
-    ok &= lines == _fixture_lines("first_main")
+    rows, ok = _run_fixture(capsys, "first_main")
+    ok &= [row["n_range"] for row in rows] == [[n, n] for n in range(2, 8)]
+    for n, row in zip(range(2, 8), rows):
+        ok &= row["examined"] == connected_graph_count(n)
+        ok &= set(map(tuple, row["details"]["realized"])) == feasible_set(n)
     assert _report(capsys, 2, "realized set equals feasible set for n <= 7", ok)
 
 
@@ -98,30 +104,25 @@ def test_criterion_3_witness_synthesis(capsys):
 
 
 def test_criterion_4_extremal_classification(capsys):
-    ok = True
-    lines = []
-    for n in (2, 4, 6):
-        rep = verify_av(n)
-        ok &= rep.passed
-        ok &= rep.details["targets_found"].get("complete") is True
+    rows, ok = _run_fixture(capsys, "av")
+    ok &= [row["n_range"] for row in rows] == [[n, n] for n in (2, 4, 6)]
+    for n, row in zip((2, 4, 6), rows):
+        ok &= row["details"]["targets_found"].get("complete") is True
         if n >= 4:
-            ok &= rep.details["targets_found"].get("balanced_bipartite") is True
-        lines.append(rep.to_json())
-    ok &= lines == _fixture_lines("av")
+            ok &= row["details"]["targets_found"].get("balanced_bipartite") is True
     assert _report(capsys, 4, "extremal graphs are complete or balanced bipartite", ok)
 
 
 def test_criterion_5_lemma_suite(capsys):
-    rep = verify_lemma_suite(7, samples=10000, seed=0)
-    counts = rep.details["checks"]
-    ok = rep.passed
+    (row,), ok = _run_fixture(capsys, "lemmas")
+    counts = row["details"]["checks"]
+    ok &= row["details"]["samples"] == 10000 and row["details"]["seed"] == 0
     ok &= counts["deletion"] == sum(n * connected_graph_count(n)
                                     for n in range(2, 7)) == 164030
     ok &= counts["additivity"] == 10000
     ok &= counts["suspension"] == 10000
     ok &= counts["twin_leaf"] > 0
     ok &= counts["chain"] == sum(connected_graph_count(n) for n in range(2, 8))
-    ok &= [rep.to_json()] == _fixture_lines("lemmas")  # twin_leaf == 4148
     assert _report(capsys, 5, "lemma suite (deletion, twins, additivity, suspension, "
                       "chain)", ok)
 
@@ -132,13 +133,12 @@ def test_criterion_6_regularity(capsys):
         ok &= regularity(complete_graph(n)).reg == 1
     for m in range(1, 5):
         ok &= regularity(complete_bipartite_graph(m, m)).reg == 1
-    rep = verify_theorem_second_main(9)
-    ok &= rep.passed
-    ok &= rep.details["witnesses"] == sum(len(feasible_set(n))
-                                          for n in range(2, 10)) == 58
-    ok &= rep.details["exhaustive_graphs"] == sum(connected_graph_count(n)
-                                                  for n in range(2, 7))
-    ok &= [rep.to_json()] == _fixture_lines("second_main")
+    (row,), fixture_ok = _run_fixture(capsys, "second_main")
+    ok &= fixture_ok and row["n_range"] == [2, 9]
+    ok &= row["details"]["witnesses"] == sum(len(feasible_set(n))
+                                             for n in range(2, 10)) == 58
+    ok &= row["details"]["exhaustive_graphs"] == sum(connected_graph_count(n)
+                                                     for n in range(2, 7))
     assert _report(capsys, 6, "regularity witnesses and exhaustive sandwich", ok)
 
 
@@ -149,14 +149,12 @@ def test_criterion_7_determinism(capsys):
     b = scan_invariants(7, jobs=2, use_cache=False)
     ok &= np.array_equal(a.masks, b.masks) and np.array_equal(a.ind, b.ind)
     ok &= np.array_equal(a.minm, b.minm) and np.array_equal(a.match, b.match)
-    # equal and byte-identical reports across repeated runs, each scanning
-    # afresh: a report holds only what its check found
+    # equal reports across repeated runs, each scanning afresh: a report
+    # holds only what its check found, and cli.py prints it from its values
     for run in (lambda: verify_theorem_first_main(6),
                 lambda: verify_lemma_suite(5, samples=500, seed=0),
-                lambda: verify_av(4), lambda: verify_theorem_second_main(4)):
-        a, b = run(), run()
-        ok &= a == b and a.to_json() == b.to_json()
-    a, b = (synthesize_witness(TupleQuery(2, 3, 4, 8)) for _ in range(2))
-    ok &= a == b and json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+                lambda: verify_av(4), lambda: verify_theorem_second_main(4),
+                lambda: synthesize_witness(TupleQuery(2, 3, 4, 8))):
+        ok &= run() == run()
     assert _report(capsys, 7, "byte-identical reports across runs and worker counts",
                    ok)

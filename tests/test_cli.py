@@ -1,5 +1,6 @@
 """Tests for the command line interface (driven through main(argv))."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from matchinv import graph6_decode, invariant_triple
+from matchinv import build_family, feasible_set, graph6_decode, graph6_encode, invariant_triple
 from matchinv.cli import main
+from oracles import spec_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -342,6 +344,35 @@ def test_cli_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+def _stdout_grid():
+    """263 commands over every JSON shape but verify's, and the tables."""
+    argvs = [["construct", f"{spec.family}({','.join(map(str, spec.params()))})",
+              "--format", fmt] for spec in spec_grid(12) for fmt in ("json", "graph6", "dot")]
+    tuples = [(*t, n) for n in (8, 13) for t in sorted(feasible_set(n))]
+    tuples += [(2, 2, 2, 4), (0, 1, 1, 4), (3, 2, 2, 8), (1, 1, 3, 8), (1, 5, 5, 8),
+               (2, 4, 4, 8)]
+    argvs += [["witness", *(f for flag, x in zip("pqrn", t) for f in (f"-{flag}", str(x)))]
+              for t in tuples]
+    graphs = [graph6_encode(build_family(spec)) for spec in spec_grid(10)]
+    argvs += [[*cmd, *graphs] for cmd in (["invariants", "--reg"],
+                                          ["invariants", "--pretty", "--reg"], ["reg"])]
+    return argvs + [["feasible", "-n", "9"], ["feasible", "-n", "64"]]
+
+
+def test_stdout_keeps_its_digest(capsys):
+    # one SHA-256 over repr((argv, exit code, stdout)) of every command,
+    # taken before the JSON text moved from the result classes into cli.py
+    argvs = _stdout_grid()
+    assert len(argvs) == 263
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_cli(capsys, argv)
+        assert err == ""
+        digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == \
+        "4a62f67c1903ab7f572aa8ed2c45b6bb26cff39ad873dd8651929eb0dd4b188c"
 
 
 def test_usage_errors():

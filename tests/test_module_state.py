@@ -119,8 +119,7 @@ def test_every_method_has_a_package_reader():
     # tests; dunders are called by the interpreter.  A method is reached
     # only as an attribute, so only attribute reads count.  The check goes
     # by name, so a method passes when package code reads that name as any
-    # attribute, even another class's method: it could not have caught
-    # ``WitnessReport.to_json``, beside the read ``VerificationReport.to_json``
+    # attribute, even another class's method of the same name
     read = package_reads(bare=False)
     unread = sorted(f"{path.name}:{cls.name}.{node.name}" for path in PACKAGE_FILES
                     for cls in ast.walk(ast.parse(path.read_text()))
@@ -128,3 +127,20 @@ def test_every_method_has_a_package_reader():
                     for node in cls.body if isinstance(node, ast.FunctionDef)
                     and not node.name.startswith("__") and node.name not in read)
     assert unread == []
+
+
+def test_only_the_cli_writes_json():
+    # library results are values; their JSON text is the output format of
+    # the matchinv commands, so only cli.py imports json, and no package
+    # class has a to_json... method
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE_FILES}
+    importers = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                       if (isinstance(node, ast.Import)
+                           and any(alias.name == "json" for alias in node.names))
+                       or (isinstance(node, ast.ImportFrom) and node.module == "json"))
+    assert importers == ["cli.py"]
+    methods = sorted(f"{name}:{cls.name}.{node.name}" for name, tree in trees.items()
+                     for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for node in cls.body if isinstance(node, ast.FunctionDef)
+                     and node.name.startswith("to_json"))
+    assert methods == []

@@ -20,6 +20,7 @@ from matchinv import (
     synthesize_witness,
     witness_spec,
 )
+from matchinv.cli import main
 
 WITNESS_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" \
     / "witness.jsonl"
@@ -125,7 +126,7 @@ def test_witness_spec_sound_small():
             assert spec.vertex_count() == n
 
 
-def test_synthesize_witness_feasible():
+def test_synthesize_witness_feasible(capsys):
     rep = synthesize_witness(TupleQuery(2, 3, 4, 8))
     assert rep.feasible and rep.reason is None
     assert rep.spec == FamilySpec("G2", 2, 0, 1, 0, 1)
@@ -133,7 +134,8 @@ def test_synthesize_witness_feasible():
     assert rep.verified == (2, 3, 4)
     assert is_connected(rep.graph)
     assert is_chordal(rep.graph)
-    data = rep.to_json_dict()
+    assert main(["witness", "-p", "2", "-q", "3", "-r", "4", "-n", "8"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["query"] == {"p": 2, "q": 3, "r": 4, "n": 8}
     assert data["feasible"] is True
     assert data["family"] == "G2"
@@ -143,13 +145,13 @@ def test_synthesize_witness_feasible():
     assert "reason" not in data
 
 
-def test_synthesize_witness_infeasible():
+def test_synthesize_witness_infeasible(capsys):
     rep = synthesize_witness(TupleQuery(2, 2, 2, 4))
     assert not rep.feasible
     assert rep.reason == "AV_EXCLUSION"
     assert rep.spec is None and rep.graph is None and rep.verified is None
-    data = rep.to_json_dict()
-    assert set(data) == {"query", "feasible", "reason"}
+    assert main(["witness", "-p", "2", "-q", "2", "-r", "2", "-n", "4"]) == 1
+    assert set(json.loads(capsys.readouterr().out)) == {"query", "feasible", "reason"}
 
 
 def test_synthesize_witness_all_small():
@@ -194,8 +196,7 @@ def test_report_json_deterministic():
     a = synthesize_witness(TupleQuery(2, 3, 4, 8))
     b = synthesize_witness(TupleQuery(2, 3, 4, 8))
     assert a == b
-    assert a.to_json_dict() == b.to_json_dict()
-    assert a.to_json_dict()["graph6"] == "G~C?Nk"
+    assert graph6_encode(a.graph) == "G~C?Nk"
 
 
 def test_witness_pool_graph6_byte_for_byte():

@@ -1,5 +1,6 @@
 """Tests for homology ranks of face lists, and regularity."""
 
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from matchinv import (
     scan_invariants,
     synthesize_witness,
 )
+from matchinv.cli import main
 from oracles import (all_graphs, complete_bipartite_graph, complete_graph, cycle_graph,
                      disjoint_union, star_graph)
 
@@ -106,21 +108,23 @@ def test_regularity_frozen():
         assert regularity(G).reg == expect
 
 
-def test_regularity_witnesses():
+def test_regularity_witnesses(capsys):
     r = regularity(path_graph(2))
-    assert r == RegularityResult(1, (0, 1), 1)
-    assert r.to_json_dict() == {"reg": 1, "witness_W": [0, 1], "witness_d": 1}
+    assert r == RegularityResult(1, (0, 1))
+    assert main(["reg", graph6_encode(path_graph(2))]) == 0
+    assert json.loads(capsys.readouterr().out) == {"reg": 1, "witness_W": [0, 1],
+                                                   "witness_d": 1}
     assert regularity(cycle_graph(5)).witness_subset == (0, 1, 2, 3, 4)
     assert regularity(cycle_graph(7)).witness_subset == (0, 1, 3, 4)
-    assert regularity(from_edge_list(3, [])) == RegularityResult(0, (), 0)
-    # the recorded subset really achieves the recorded dimension
+    assert regularity(from_edge_list(3, [])) == RegularityResult(0, ())
+    # the recorded subset really achieves the regularity, as a dimension
     for G in (cycle_graph(6), path_graph(6)):
         res = regularity(G)
         sub = 0
         for v in res.witness_subset:
             sub |= 1 << v
         faces = oracles.independent_set_masks(G, sub)
-        assert oracles.q_homology_ranks(faces)[res.witness_d] > 0
+        assert oracles.q_homology_ranks(faces)[res.reg] > 0
 
 
 def test_regularity_cap():

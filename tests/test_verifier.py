@@ -28,6 +28,7 @@ from matchinv import (
     verify_theorem_first_main,
     verify_theorem_second_main,
 )
+from matchinv.cli import main
 from matchinv.verifier import (
     VerificationReport,
     FailureRecord,
@@ -176,21 +177,24 @@ def test_realized_set_small():
         assert scan_invariants(n).triples() == feasible_set(n)
 
 
-def test_report_serialization():
+def test_report_serialization(capsys, monkeypatch):
+    # cli.py prints a report from its fields, n_low and n_high as n_range,
+    # plus passed, and plus elapsed under --timing only
     rep = VerificationReport(check="demo", n_low=2, n_high=3, examined=5,
                              failures=[FailureRecord("A_", "x", "y")],
                              details={"k": 1})
     assert not rep.passed
-    data = rep.to_json_dict()
-    assert data == {"check": "demo", "n_range": [2, 3], "examined": 5,
-                    "passed": False,
-                    "failures": [{"graph6": "A_", "expected": "x",
-                                  "actual": "y"}],
-                    "details": {"k": 1}}
-    timed = rep.to_json_dict(elapsed=1.25)
-    assert timed == {**data, "elapsed": 1.25}
-    assert json.loads(rep.to_json(elapsed=1.25)) == timed
-    assert json.loads(rep.to_json()) == data
+    monkeypatch.setattr(matchinv.verifier, "verify_av", lambda n: rep)
+    data = {"check": "demo", "n_range": [2, 3], "examined": 5, "passed": False,
+            "failures": [{"graph6": "A_", "expected": "x", "actual": "y"}],
+            "details": {"k": 1}}
+    argv = ["verify", "--check", "av", "--n-max", "2"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+    assert main(argv + ["--timing"]) == 1
+    timed = json.loads(capsys.readouterr().out)
+    assert isinstance(timed.pop("elapsed"), float) and timed == data
 
 
 def test_first_main_small():
@@ -199,9 +203,9 @@ def test_first_main_small():
     assert rep.examined == 38
     assert rep.details["connected_count"] == 38
     assert rep.details["feasible_count"] == 3
-    assert rep.details["realized"] == [[1, 1, 1], [1, 1, 2], [1, 2, 2]]
-    # serialized form is stable across repeated runs
-    assert rep.to_json() == verify_theorem_first_main(4).to_json()
+    assert rep.details["realized"] == [(1, 1, 1), (1, 1, 2), (1, 2, 2)]
+    # the report is the same across repeated runs
+    assert rep == verify_theorem_first_main(4)
 
 
 def test_first_main_n5_n6():
@@ -269,10 +273,10 @@ def test_av_catches_missing_target(monkeypatch):
                                    if (i in side) != (j in side))
                                for side in sides], 2)
     rep = verify_av(6)
-    assert [rec.to_json_dict() for rec in rep.failures] == [
-        {"graph6": None,
-         "expected": "balanced_bipartite graph attains min match 3",
-         "actual": "not found in scan"}]
+    assert rep.failures == [
+        FailureRecord(graph6=None,
+                      expected="balanced_bipartite graph attains min match 3",
+                      actual="not found in scan")]
     assert rep.details == {"extremal_count": 1,
                            "targets_found": {"complete": True,
                                              "balanced_bipartite": False}}
@@ -572,7 +576,7 @@ def test_sampled_mode():
     assert rep.examined == 120
     assert rep.details["exhaustive"] is False
     assert 0 < rep.details["connected_sampled"] <= 120
-    assert rep.to_json() == verify_first_main_sampled(8, 120, seed=0).to_json()
+    assert rep == verify_first_main_sampled(8, 120, seed=0)
     with pytest.raises(ValueError):
         verify_first_main_sampled(7, 10, seed=0)
     with pytest.raises(ValueError):
